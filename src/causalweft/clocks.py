@@ -287,22 +287,37 @@ def stamp_to_obj(clock: Clock, stamp: Any) -> dict:
     return {_class_key(c): v for c, v in counts.items()}
 
 
+def _count_from_obj(v: Any, where: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ValueError(f"count {where} must be a non-negative integer, got {v!r}")
+    return v
+
+
+def _string_keyed(obj: Any, what: str) -> dict:
+    if not isinstance(obj, dict) or not all(isinstance(k, str) for k in obj):
+        raise ValueError(f"expected {what} with string keys, got {obj!r}")
+    return obj
+
+
 def stamp_from_obj(clock: Clock, obj: Any) -> Any:
     """Inverse of `stamp_to_obj`. Keys containing `->` are read back
-    as class tuples, so string pids must not contain `->`."""
+    as class tuples, so string pids must not contain `->`. Raises
+    ValueError unless keys are strings and counts non-negative ints."""
     if clock.kind == "matrix":
         if not isinstance(obj, dict) or "matrix" not in obj:
             raise ValueError(f"expected an owner/matrix object, got {obj!r}")
+        owner = obj.get("owner")
+        if owner is not None and not isinstance(owner, str):
+            raise ValueError(f"owner must be a string or null, got {owner!r}")
         cells = {}
-        for p, row in obj["matrix"].items():
-            for q, v in row.items():
-                cells[(p, q)] = v
-        return MatrixStamp(obj.get("owner"), cells)
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a class-to-count object, got {obj!r}")
+        for p, row in _string_keyed(obj["matrix"], "a matrix object").items():
+            for q, v in _string_keyed(row, f"a matrix row for {p!r}").items():
+                cells[(p, q)] = _count_from_obj(v, f"at {p!r}, {q!r}")
+        return MatrixStamp(owner, cells)
     counts: dict[Any, int] = {}
-    for key, v in obj.items():
-        counts[tuple(key.split("->")) if "->" in key else key] = v
+    for key, v in _string_keyed(obj, "a class-to-count object").items():
+        cls = tuple(key.split("->")) if "->" in key else key
+        counts[cls] = _count_from_obj(v, f"for class {key!r}")
     return ClassifierStamp(counts)
 
 

@@ -51,6 +51,7 @@ from .diagram import (
 )
 from .paths import action_order
 from .serialize import SchemaError, label_value_from_obj, label_value_to_obj
+from .verify import warshall
 
 ActionId = str
 
@@ -132,12 +133,7 @@ def hb_closure(x: Execution) -> frozenset[tuple[ActionId, ActionId]]:
             rows[index[a]] |= 1 << index[b]
     for s, r in x.messages:
         rows[index[s]] |= 1 << index[r]
-    for m in range(len(ids)):
-        bit = 1 << m
-        row_m = rows[m]
-        for i in range(len(ids)):
-            if rows[i] & bit:
-                rows[i] |= row_m
+    warshall(rows)
     for i, a in enumerate(ids):
         if rows[i] >> i & 1:
             raise CyclicExecutionError(f"action {a!r} happens before itself")
@@ -357,8 +353,12 @@ def execution_from_obj(obj: Any) -> Execution:
         raise SchemaError(f"messages must be a list, got {raw_msgs!r}")
     messages = set()
     for m in raw_msgs:
-        if not isinstance(m, list) or len(m) != 2:
-            raise SchemaError(f"message must be a [send, recv] pair, got {m!r}")
+        if not (
+            isinstance(m, list) and len(m) == 2 and all(isinstance(a, str) for a in m)
+        ):
+            raise SchemaError(
+                f"message must be a [send, recv] pair of action ids, got {m!r}"
+            )
         messages.add((m[0], m[1]))
     raw_actions = obj["actions"]
     if not isinstance(raw_actions, dict):

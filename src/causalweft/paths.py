@@ -5,12 +5,22 @@ influence another exactly when some trajectory of sites connects them,
 moving through one step at a time along the step's connectivity
 relation. Trajectories double as checkable witnesses, and causal
 order is their existence.
+
+Every order query reads one table of closure rows. Events are numbered
+by (cut, site), which is their sort order, and row i is the bitmask of
+the events event i can influence, itself included. The rows come from
+one backward sweep over the cuts: a diagram is layered, so reverse cut
+order is a topological order, and each row is the event's own bit or-ed
+with the rows of its one-step successors (cf. Purdom 1970, "A transitive
+closure algorithm"). The tables live on the diagram instance and are
+freed with it. The rows are built by the first order query, so
+validating, rendering and timestamping never pay for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .diagram import (
@@ -44,20 +54,28 @@ class Event:
         return f"{self.cut}:{self.site if self.site else '.'}"
 
 
-def check_event(d: Diagram, e: Event) -> None:
-    """Raise unless `e` names a site of the cut-e.cut configuration."""
+def _number(d: Diagram, e: Event) -> int:
+    """The number of event `e` in `events(d)`; raises unless `e` names
+    a site of the cut-e.cut configuration."""
     if not 0 <= e.cut <= d.n_steps:
         raise ValueError(f"cut {e.cut} out of range 0..{d.n_steps}")
-    if e.site not in _tables(d).site_sets[e.cut]:
-        raise ValueError(f"{e.site!r} is not a site at cut {e.cut}")
+    try:
+        return _tables(d).numbers[e.cut][e.site]
+    except KeyError:
+        raise ValueError(f"{e.site!r} is not a site at cut {e.cut}") from None
+
+
+def check_event(d: Diagram, e: Event) -> None:
+    """Raise unless `e` names a site of the cut-e.cut configuration."""
+    _number(d, e)
 
 
 def events(d: Diagram) -> tuple[Event, ...]:
     """Every event of a diagram, ordered by cut then site."""
     return tuple(
         Event(t, s)
-        for t, row in enumerate(_tables(d).site_lists)
-        for s in row
+        for t, numbers in enumerate(_tables(d).numbers)
+        for s in numbers
     )
 
 
@@ -90,23 +108,64 @@ def step_relation(step: GlobalStep) -> set[tuple[SiteRef, SiteRef]]:
 
 @dataclass(frozen=True)
 class _Tables:
-    site_lists: tuple[tuple[SiteRef, ...], ...]
-    site_sets: tuple[frozenset[SiteRef], ...]
+    # per cut: site -> event number, in site order
+    numbers: tuple[Mapping[SiteRef, int], ...]
     # adjacency per step: input site -> sorted output sites
     adj: tuple[Mapping[SiteRef, tuple[SiteRef, ...]], ...]
 
+    @cached_property
+    def future(self) -> tuple[int, ...]:
+        """Closure rows: bit j of row i is set iff event i can
+        influence event j. One sweep from the last cut back to cut 0."""
+        rows = [0] * sum(len(numbers) for numbers in self.numbers)
+        for i in self.numbers[-1].values():
+            rows[i] = 1 << i
+        for t in range(len(self.adj) - 1, -1, -1):
+            adj, nxt = self.adj[t], self.numbers[t + 1]
+            for s, i in self.numbers[t].items():
+                row = 1 << i
+                for b in adj.get(s, ()):
+                    row |= rows[nxt[b]]
+                rows[i] = row
+        return tuple(rows)
 
-@lru_cache(maxsize=512)
+
+_TABLES = "_paths_tables"
+
+
 def _tables(d: Diagram) -> _Tables:
-    cfgs = cut_configs(d)
-    site_lists = tuple(sites(c) for c in cfgs)
-    adj = []
-    for step in d.steps:
-        fwd: dict[SiteRef, list[SiteRef]] = {}
-        for a, b in sorted(step_relation(step)):
-            fwd.setdefault(a, []).append(b)
-        adj.append({a: tuple(bs) for a, bs in fwd.items()})
-    return _Tables(site_lists, tuple(frozenset(r) for r in site_lists), tuple(adj))
+    """The derived tables of `d`, built on first use and kept in the
+    instance's own __dict__, so they are freed with the diagram."""
+    tables = d.__dict__.get(_TABLES)
+    if tables is None:
+        numbers, n = [], 0
+        for cfg in cut_configs(d):
+            row = sites(cfg)
+            numbers.append(dict(zip(row, range(n, n + len(row)))))
+            n += len(row)
+        adj = []
+        for step in d.steps:
+            fwd: dict[SiteRef, list[SiteRef]] = {}
+            for a, b in sorted(step_relation(step)):
+                fwd.setdefault(a, []).append(b)
+            adj.append({a: tuple(bs) for a, bs in fwd.items()})
+        tables = d.__dict__[_TABLES] = _Tables(tuple(numbers), tuple(adj))
+    return tables
+
+
+def future_rows(d: Diagram) -> tuple[int, ...]:
+    """The causal order of a diagram as closure rows: bit j of row i is
+    set iff event i can influence event j, with events numbered as
+    `events(d)` lists them (by cut, then site)."""
+    return _tables(d).future
+
+
+def set_bits(row: int) -> Iterator[int]:
+    """The positions of the set bits of a closure row, ascending."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +206,7 @@ def witness_valid(d: Diagram, w: PathWitness) -> bool:
         return False
     tables = _tables(d)
     for i, s in enumerate(w.trajectory):
-        if s not in tables.site_sets[w.start + i]:
+        if s not in tables.numbers[w.start + i]:
             return False
     for i in range(len(w.trajectory) - 1):
         nxt = tables.adj[w.start + i].get(w.trajectory[i], ())
@@ -173,27 +232,20 @@ def compose_witness(a: PathWitness, b: PathWitness) -> PathWitness:
 # ---------------------------------------------------------------------------
 # spanning trajectories (whole-diagram queries)
 
-def _require_site(d: Diagram, t: int, s: SiteRef, what: str) -> None:
-    if s not in _tables(d).site_sets[t]:
-        raise ValueError(f"{what} {s!r} is not a site at cut {t}")
-
-
-def _reach_fwd(d: Diagram, t1: int, s1: SiteRef, t2: int) -> set[SiteRef]:
-    adj = _tables(d).adj
-    cur = {s1}
-    for k in range(t1, t2):
-        cur = {b for a in cur for b in adj[k].get(a, ())}
-        if not cur:
-            break
-    return cur
+def _require_site(d: Diagram, t: int, s: SiteRef, what: str) -> int:
+    """The event number of site `s` at cut `t`; raises if there is none."""
+    try:
+        return _tables(d).numbers[t][s]
+    except KeyError:
+        raise ValueError(f"{what} {s!r} is not a site at cut {t}") from None
 
 
 def span_reachable(d: Diagram, s1: SiteRef, s2: SiteRef) -> bool:
     """Does some trajectory cross the whole diagram from initial site
     s1 to final site s2?"""
-    _require_site(d, 0, s1, "source site")
-    _require_site(d, d.n_steps, s2, "target site")
-    return s2 in _reach_fwd(d, 0, s1, d.n_steps)
+    i = _require_site(d, 0, s1, "source site")
+    j = _require_site(d, d.n_steps, s2, "target site")
+    return bool(future_rows(d)[i] >> j & 1)
 
 
 def span_count(d: Diagram, s1: SiteRef, s2: SiteRef) -> int:
@@ -215,17 +267,11 @@ def _enumerate(
     d: Diagram, t1: int, s1: SiteRef, t2: int, s2: SiteRef
 ) -> Iterator[PathWitness]:
     """All trajectories from (t1, s1) to (t2, s2), lexicographic by
-    trajectory. Lazy; prunes branches that cannot reach s2."""
-    adj = _tables(d).adj
-    # backward cone of (t2, s2), one site set per cut t1..t2
-    cone: list[set[SiteRef]] = [set() for _ in range(t2 - t1 + 1)]
-    cone[-1] = {s2}
-    for k in range(t2 - 1, t1 - 1, -1):
-        allowed = cone[k - t1 + 1]
-        cone[k - t1] = {
-            a for a, bs in adj[k].items() if any(b in allowed for b in bs)
-        }
-    if s1 not in cone[0]:
+    trajectory. Lazy; prunes branches whose closure row misses s2."""
+    tables = _tables(d)
+    adj, numbers, future = tables.adj, tables.numbers, tables.future
+    target = 1 << numbers[t2][s2]
+    if not future[numbers[t1][s1]] & target:
         return
 
     prefix = [s1]
@@ -234,9 +280,9 @@ def _enumerate(
         if k == t2:
             yield PathWitness(t1, tuple(prefix))
             return
-        allowed = cone[k - t1 + 1]
+        nxt = numbers[k + 1]
         for b in adj[k].get(prefix[-1], ()):
-            if b in allowed:
+            if future[nxt[b]] & target:
                 prefix.append(b)
                 yield from walk(k + 1)
                 prefix.pop()
@@ -259,11 +305,8 @@ def causally_ordered(d: Diagram, e1: Event, e2: Event) -> bool:
     """Can e1 influence e2? True iff e1.cut <= e2.cut and some
     trajectory connects them. Reflexive by construction; antisymmetric
     because trajectories never move backward in time."""
-    check_event(d, e1)
-    check_event(d, e2)
-    if e1.cut > e2.cut:
-        return False
-    return e2.site in _reach_fwd(d, e1.cut, e1.site, e2.cut)
+    i, j = _number(d, e1), _number(d, e2)
+    return bool(future_rows(d)[i] >> j & 1)
 
 
 def causal_paths(d: Diagram, e1: Event, e2: Event) -> Iterator[PathWitness]:
@@ -279,26 +322,15 @@ def causal_paths(d: Diagram, e1: Event, e2: Event) -> Iterator[PathWitness]:
 def event_order_pairs(d: Diagram) -> set[tuple[Event, Event]]:
     """The full causal order of a diagram as a set of event pairs.
 
-    Agrees pointwise with `causally_ordered`; computed by one forward
-    sweep per starting cut instead of one query per pair.
+    Agrees pointwise with `causally_ordered`; one pair per set bit of
+    the closure rows (`future_rows`).
     """
-    tables = _tables(d)
-    pairs: set[tuple[Event, Event]] = set()
-    n = d.n_steps
-    for t1, row in enumerate(tables.site_lists):
-        reach = {s: {s} for s in row}
-        for t2 in range(t1, n + 1):
-            for s1 in row:
-                pairs.update(
-                    (Event(t1, s1), Event(t2, s2)) for s2 in reach[s1]
-                )
-            if t2 < n:
-                adj = tables.adj[t2]
-                reach = {
-                    s1: {b for a in cur for b in adj.get(a, ())}
-                    for s1, cur in reach.items()
-                }
-    return pairs
+    evs = events(d)
+    return {
+        (evs[i], evs[j])
+        for i, row in enumerate(future_rows(d))
+        for j in set_bits(row)
+    }
 
 
 # ---------------------------------------------------------------------------

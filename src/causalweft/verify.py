@@ -3,9 +3,9 @@
 Two executable facts about clocks pushed through diagrams: updates
 never lose ground across a diagram (inflationarity), and timestamps
 respect causal order between events (the clock condition). Both
-checkers discover the pairs to test from reachability and attach a
-concrete trajectory witness to every violation, so a failure is a
-checkable object rather than a boolean.
+checkers read the pairs to test off the closure rows of `paths` and
+attach a concrete trajectory witness to every violation, so a failure
+is a checkable object rather than a boolean.
 
 The generators build random well-typed diagrams and random acyclic
 executions from a seed, types first, so no rejection sampling is
@@ -55,9 +55,10 @@ from .paths import (
     Event,
     PathWitness,
     causal_paths,
-    event_order_pairs,
+    events,
+    future_rows,
+    set_bits,
     span_enumerate,
-    span_reachable,
     step_relation,
 )
 from .serialize import diagram_hash, witness_to_obj
@@ -241,22 +242,28 @@ def check_clock_condition(
     valuation: Valuation | None = None,
 ) -> ViolationReport:
     """Does every causally ordered event pair carry non-decreasing
-    timestamps? Pairs are discovered by reachability sweeps, not by
-    enumerating trajectories; each violation carries the first witness
-    in enumeration order."""
+    timestamps? Pairs are read off the closure rows in event order, not
+    found by enumerating trajectories; each violation carries the first
+    witness in enumeration order."""
     if valuation is None:
         valuation = zero_valuation(clock, d.initial)
     stamps = timestamp_all(d, lab, clock, valuation)
+    evs = events(d)
+    by_number = [stamps[e] for e in evs]
+    leq = clock.leq
     violations = []
-    pairs = sorted(event_order_pairs(d))
-    for e1, e2 in pairs:
-        if not clock.leq(stamps[e1], stamps[e2]):
-            witness = next(causal_paths(d, e1, e2))
-            violations.append(
-                Violation(e1, e2, stamps[e1], stamps[e2], witness)
-            )
+    checked = 0
+    for i, row in enumerate(future_rows(d)):
+        checked += row.bit_count()
+        here = by_number[i]
+        for j in set_bits(row):
+            if not leq(here, by_number[j]):
+                witness = next(causal_paths(d, evs[i], evs[j]))
+                violations.append(
+                    Violation(evs[i], evs[j], here, by_number[j], witness)
+                )
     return ViolationReport(
-        "clock-condition", len(pairs), tuple(violations), diagram_hash(d, lab)
+        "clock-condition", checked, tuple(violations), diagram_hash(d, lab)
     )
 
 
@@ -274,9 +281,12 @@ def check_update_inflationary(
     violations = []
     checked = 0
     n = d.n_steps
-    for s1 in sites(d.initial):
-        for s2 in sites(d.final):
-            if not span_reachable(d, s1, s2):
+    rows = future_rows(d)
+    final = sites(d.final)
+    first_final = len(rows) - len(final)  # initial sites number from 0
+    for i, s1 in enumerate(sites(d.initial)):
+        for k, s2 in enumerate(final):
+            if not rows[i] >> (first_final + k) & 1:
                 continue
             checked += 1
             if not clock.leq(valuation[s1], out[s2]):
@@ -421,9 +431,23 @@ def broken_clock() -> Clock:
 # ---------------------------------------------------------------------------
 # brute-force oracles
 #
-# Independent of the propagation logic in `paths`: every event becomes
-# a graph node, every step_relation pair an edge, and the order is the
-# reflexive-transitive closure of that graph.
+# Independent of the closure rows in `paths`: every event becomes a
+# graph node, every step_relation pair an edge, and the order is the
+# reflexive-transitive closure of that graph, by Warshall's algorithm.
+
+def warshall(rows: list[int]) -> list[int]:
+    """Close adjacency bit rows under transitivity, in place: afterwards
+    bit j of rows[i] is set iff a chain of edges leads from i to j.
+    Cubic; shared by the brute-force oracles here and in `lamport`, and
+    kept apart from the fast kernel they check."""
+    for m in range(len(rows)):
+        bit = 1 << m
+        row_m = rows[m]
+        for i in range(len(rows)):
+            if rows[i] & bit:
+                rows[i] |= row_m
+    return rows
+
 
 def _event_closure(d: Diagram) -> tuple[list[Event], list[int]]:
     evs = [
@@ -436,13 +460,7 @@ def _event_closure(d: Diagram) -> tuple[list[Event], list[int]]:
     for k, step in enumerate(d.steps):
         for a, b in step_relation(step):
             rows[index[Event(k, a)]] |= 1 << index[Event(k + 1, b)]
-    for m in range(len(evs)):
-        bit = 1 << m
-        row_m = rows[m]
-        for i in range(len(evs)):
-            if rows[i] & bit:
-                rows[i] |= row_m
-    return evs, rows
+    return evs, warshall(rows)
 
 
 def oracle_event_order(d: Diagram) -> set[tuple[Event, Event]]:
@@ -489,31 +507,27 @@ class OrderLawReport:
 
 def check_order_laws(d: Diagram) -> OrderLawReport:
     """Exhaustively verify that causal order is a partial order on the
-    events of the diagram."""
-    pairs = event_order_pairs(d)
-    evs = [
-        Event(t, s)
-        for t, cfg in enumerate(cut_configs(d))
-        for s in sites(cfg)
-    ]
-    reflexivity = tuple(e for e in evs if (e, e) not in pairs)
-    antisymmetry = tuple(
-        sorted(
-            (e1, e2)
-            for e1, e2 in pairs
-            if e1 < e2 and (e2, e1) in pairs
-        )
-    )
-    succs: dict[Event, list[Event]] = {}
-    for e1, e2 in pairs:
-        succs.setdefault(e1, []).append(e2)
-    broken = set()
-    for e1, e2 in pairs:
-        for e3 in succs.get(e2, ()):
-            if (e1, e3) not in pairs:
-                broken.add((e1, e2, e3))
+    events of the diagram, one closure row at a time. A row must hold
+    its own event (reflexivity), no other event it holds may hold it
+    back (antisymmetry), and the row of every event it holds must be a
+    subset of it (transitivity). Rows are visited in event order, so
+    every failure list comes out sorted."""
+    evs = events(d)
+    rows = future_rows(d)
+    reflexivity = tuple(e for i, e in enumerate(evs) if not rows[i] >> i & 1)
+    antisymmetry = []
+    transitivity = []
+    pairs = 0
+    for i, row in enumerate(rows):
+        pairs += row.bit_count()
+        outside = ~row
+        for j in set_bits(row):
+            if j > i and rows[j] >> i & 1:
+                antisymmetry.append((evs[i], evs[j]))
+            for k in set_bits(rows[j] & outside):
+                transitivity.append((evs[i], evs[j], evs[k]))
     return OrderLawReport(
-        len(evs), len(pairs), reflexivity, antisymmetry, tuple(sorted(broken))
+        len(evs), pairs, reflexivity, tuple(antisymmetry), tuple(transitivity)
     )
 
 

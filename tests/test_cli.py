@@ -206,6 +206,15 @@ def test_timestamps_reject_bad_valuation_files(tmp_path, flow_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_timestamps_reject_non_integer_matrix_counts(tmp_path, flow_file, capsys):
+    stamp = {"owner": "p1", "matrix": {"p1": {"p1": "x"}}}
+    val = write(tmp_path, "val.json", json.dumps({"L": stamp, "R": stamp}))
+    assert main(["timestamps", flow_file, "--clock", "wb", "--valuation", val]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-negative integer" in err
+
+
 # ---------------------------------------------------------------------------
 # checks
 
@@ -232,6 +241,20 @@ def test_check_order_text(flow_file, capsys):
     out = capsys.readouterr().out
     assert "order laws hold" in out
     assert out.startswith("10 events")
+
+
+def test_checks_read_the_whole_order_of_a_large_diagram(tmp_path, capsys):
+    doc = str(tmp_path / "big.json")
+    argv = ["gen", "--seed", "3", "--max-steps", "128", "--max-sites", "24"]
+    assert main(argv + ["--out", doc]) == 0
+    assert main(["check-order", doc]) == 0
+    assert capsys.readouterr().out == (
+        "949 events, 170657 ordered pairs: order laws hold\n"
+    )
+    assert main(["check-clock", doc, "--clock", "vector"]) == 0
+    assert capsys.readouterr().out == (
+        "clock vector: 170657 ordered pairs, 0 violations\n"
+    )
 
 
 def test_laws_text(capsys):
@@ -306,6 +329,16 @@ def test_import_execution_rejects_invalid_executions(tmp_path, capsys):
     path = write(tmp_path, "dup.json", json.dumps(obj))
     assert main(["import-execution", path]) == 2
     assert "invalid execution" in capsys.readouterr().err
+
+
+def test_import_execution_rejects_non_string_endpoints(tmp_path, capsys):
+    obj = execution_to_obj(PING)
+    obj["messages"] = [[["a1"], "a2"]]
+    path = write(tmp_path, "listy.json", json.dumps(obj))
+    assert main(["import-execution", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "pair of action ids" in err
 
 
 def test_subcommand_is_required():

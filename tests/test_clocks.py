@@ -184,6 +184,24 @@ def test_matrix_stamp_serialization():
         stamp_from_obj(c, [1, 2])
 
 
+@pytest.mark.parametrize(
+    "clock, obj",
+    [
+        (wb_clock(), {"owner": "p1", "matrix": {"p1": {"p1": "x"}}}),
+        (wb_clock(), {"owner": "p1", "matrix": {"p1": {"p1": 1.5}}}),
+        (wb_clock(), {"owner": "p1", "matrix": {"p1": [1]}}),
+        (wb_clock(), {"owner": "p1", "matrix": [["p1", "p1", 1]]}),
+        (wb_clock(), {"owner": 7, "matrix": {}}),
+        (scalar_clock(), {"*": True}),
+        (scalar_clock(), {"*": "2"}),
+        (scalar_clock(), {"*": None}),
+    ],
+)
+def test_stamp_from_obj_requires_non_negative_int_counts(clock, obj):
+    with pytest.raises(ValueError):
+        stamp_from_obj(clock, obj)
+
+
 # ---------------------------------------------------------------------------
 # pushing valuations through diagrams
 

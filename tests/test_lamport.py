@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from causalweft.clocks import Action, by_name
@@ -189,6 +192,15 @@ def test_compiled_diagrams_satisfy_the_clock_condition():
     assert report.ok
 
 
+def test_no_cache_keeps_a_queried_diagram_alive():
+    d, _, tick_index = to_diagram(gen_execution(3, max_actions=20))
+    assert derived_order(d, tick_index)
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
+
+
 def test_execution_needs_a_process():
     with pytest.raises(ValueError, match="at least one process"):
         to_diagram(Execution({}, frozenset(), {}))
@@ -243,6 +255,10 @@ def test_execution_json_errors():
     with pytest.raises(SchemaError, match="pair"):
         execution_from_obj(
             {"processes": {"p1": ["a1"]}, "messages": [["a1"]], "actions": {}}
+        )
+    with pytest.raises(SchemaError, match="pair of action ids"):
+        execution_from_obj(
+            {"processes": {"p1": ["a1"]}, "messages": [["a1", 2]], "actions": {}}
         )
     with pytest.raises(SchemaError, match="needs an actor"):
         execution_from_obj(

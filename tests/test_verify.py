@@ -8,6 +8,7 @@ from causalweft.clocks import (
     Action,
     by_name,
     scalar_clock,
+    timestamp_all,
     vector_clock,
     zero_valuation,
 )
@@ -155,6 +156,34 @@ def test_broken_clock_fails_on_two_ticks(two_tick):
     assert witness_valid(d, first.witness)
     # every pair that crosses a tick is a violation here
     assert len(report.violations) == 3
+
+
+def test_clock_reports_match_a_reference_on_oracle_pairs(small_corpus):
+    """Pairs come off the closure rows in event order, with no sort; a
+    reference that sorts the Warshall oracle's pairs must agree on the
+    count and on every violation, in order."""
+    clock = broken_clock()
+    rng = random.Random(2)
+    found = 0
+    for k, (d, lab) in enumerate(small_corpus):
+        if k % 2:
+            valuation = random_valuation(clock, d.initial, rng)
+        else:
+            valuation = zero_valuation(clock, d.initial)
+        report = check_clock_condition(d, lab, clock, valuation)
+        stamps = timestamp_all(d, lab, clock, valuation)
+        pairs = sorted(oracle_event_order(d))
+        want = [
+            (e1, e2) for e1, e2 in pairs if not clock.leq(stamps[e1], stamps[e2])
+        ]
+        assert report.checked_pairs == len(pairs)
+        assert [(v.source, v.dest) for v in report.violations] == want
+        for v in report.violations:
+            assert witness_valid(d, v.witness)
+            assert v.witness.events()[0] == v.source
+            assert v.witness.events()[-1] == v.dest
+        found += len(want)
+    assert found > 0
 
 
 def test_perm_only_diagrams_never_violate():
