@@ -169,20 +169,18 @@ def _cmd_timestamps(args) -> int:
     clock = by_name(args.clock)
     valuation = _load_valuation(args.valuation, clock, d)
     stamps = timestamp_all(d, _action_labels(lab), clock, valuation)
-    rows = sorted(stamps.items())
+    rows = sorted(stamps.items(), key=lambda row: (row[0].cut, row[0].site))
+    # Perms, forks and idle sites pass stamps on by reference, so most
+    # events share their stamp object with others: convert each object
+    # once. `stamps` keeps every object alive, so their ids are stable.
+    distinct = {id(v): v for v in stamps.values()}
+    objs = {i: stamp_to_obj(clock, v) for i, v in distinct.items()}
     if args.json:
-        _print_json(
-            {
-                "clock": clock.name,
-                "events": [
-                    {"cut": e.cut, "site": e.site, "stamp": stamp_to_obj(clock, v)}
-                    for e, v in rows
-                ],
-            }
-        )
+        events = [{"cut": e.cut, "site": e.site, "stamp": objs[id(v)]} for e, v in rows]
+        _print_json({"clock": clock.name, "events": events})
     else:
-        for e, v in rows:
-            print(f"{e}  {to_canonical_json(stamp_to_obj(clock, v))}")
+        texts = {i: to_canonical_json(obj) for i, obj in objs.items()}
+        sys.stdout.write("".join(f"{e}  {texts[id(v)]}\n" for e, v in rows))
     return 0
 
 

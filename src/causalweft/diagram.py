@@ -93,25 +93,39 @@ Config = Leaf | Tensor
 SiteRef = str
 
 
+_SITE_TYPES = "_site_types"
+
+
+def site_types(config: Config) -> Mapping[SiteRef, StateType]:
+    """Site path -> state type for every site of a configuration, in
+    left-to-right order. Built on first use by one walk with an
+    explicit stack, so tree depth is not bounded by the recursion
+    limit, and kept in the instance's own __dict__, so it is freed
+    with the configuration. Read-only: every caller shares it."""
+    table = config.__dict__.get(_SITE_TYPES)
+    if table is None:
+        table = {}
+        stack = [(config, "")]
+        while stack:
+            node, path = stack.pop()
+            if isinstance(node, Tensor):
+                stack.append((node.right, path + "R"))
+                stack.append((node.left, path + "L"))
+            elif isinstance(node, Leaf):
+                table[path] = node.ty
+            else:
+                raise TypeError(f"not a configuration: {node!r}")
+        config.__dict__[_SITE_TYPES] = table
+    return table
+
+
 def sites(config: Config) -> tuple[SiteRef, ...]:
     """All site paths of a configuration, in left-to-right order."""
-    match config:
-        case Leaf():
-            return ("",)
-        case Tensor(left, right):
-            return tuple("L" + s for s in sites(left)) + tuple(
-                "R" + s for s in sites(right)
-            )
-    raise TypeError(f"not a configuration: {config!r}")
+    return tuple(site_types(config))
 
 
 def n_sites(config: Config) -> int:
-    match config:
-        case Leaf():
-            return 1
-        case Tensor(left, right):
-            return n_sites(left) + n_sites(right)
-    raise TypeError(f"not a configuration: {config!r}")
+    return len(site_types(config))
 
 
 def subconfig(config: Config, path: str) -> Config:
@@ -131,10 +145,11 @@ def subconfig(config: Config, path: str) -> Config:
 
 def site_type(config: Config, site: SiteRef) -> StateType:
     """The state type at a site. The path must end on a leaf."""
-    node = subconfig(config, site)
-    if not isinstance(node, Leaf):
+    ty = site_types(config).get(site)
+    if ty is None:
+        subconfig(config, site)  # raises for a path that leaves the tree
         raise ValueError(f"site {site!r} is not a leaf of {config}")
-    return node.ty
+    return ty
 
 
 def tensor(parts: Sequence[Config]) -> Config:
@@ -180,7 +195,7 @@ class Perm:
     def faults(self) -> list[str]:
         """Why this is not a type-preserving bijection; empty if it is."""
         out = []
-        src, tgt = set(sites(self.source)), set(sites(self.target))
+        src, tgt = site_types(self.source), site_types(self.target)
         seen_src, seen_tgt = set(), set()
         for s, t in self.pairs:
             if s in seen_src:
@@ -189,18 +204,18 @@ class Perm:
                 out.append(f"target site {t!r} hit twice (not injective)")
             seen_src.add(s)
             seen_tgt.add(t)
-        for s in sorted(src - seen_src):
+        for s in sorted(src.keys() - seen_src):
             out.append(f"source site {s!r} unmapped")
-        for s in sorted(seen_src - src):
+        for s in sorted(seen_src - src.keys()):
             out.append(f"{s!r} is not a site of the source")
-        for t in sorted(tgt - seen_tgt):
+        for t in sorted(tgt.keys() - seen_tgt):
             out.append(f"target site {t!r} not hit")
-        for t in sorted(seen_tgt - tgt):
+        for t in sorted(seen_tgt - tgt.keys()):
             out.append(f"{t!r} is not a site of the target")
         if out:
             return out
         for s, t in self.pairs:
-            a, b = site_type(self.source, s), site_type(self.target, t)
+            a, b = src[s], tgt[t]
             if a != b:
                 out.append(f"{s!r}:{a} sent to {t!r}:{b} (type changed)")
         return out
@@ -390,41 +405,51 @@ class Fault:
         return f"step {self.step} at {at}: {self.message}"
 
 
-def _perm_faults(step: GlobalStep, k: int, path: str) -> list[Fault]:
-    match step:
-        case Par(left, right):
-            return _perm_faults(left, k, path + "L") + _perm_faults(
-                right, k, path + "R"
-            )
-        case PermStep(perm):
-            return [Fault(k, path, m) for m in perm.faults()]
-        case _:
-            return []
-
-
-def _boundary_faults(have: Config, step: GlobalStep, k: int, path: str) -> list[Fault]:
+def _check_step(
+    step: GlobalStep,
+    have: Config | None,
+    k: int,
+    path: str,
+    perm_faults: list[Fault],
+    boundary_faults: list[Fault],
+) -> Config:
+    """One walk over a step applied to `have`: collects the faults of its
+    permutation tables and its boundary mismatches, each in tree order,
+    and returns the step's output configuration. `have` is None below a
+    parallel step that met a leaf, where there is no boundary to check."""
     if isinstance(step, Par):
+        left = right = None
         if isinstance(have, Tensor):
-            return _boundary_faults(have.left, step.left, k, path + "L") + (
-                _boundary_faults(have.right, step.right, k, path + "R")
+            left, right = have.left, have.right
+        elif have is not None:
+            boundary_faults.append(
+                Fault(k, path, f"parallel step needs a tensor, found {have}")
             )
-        return [Fault(k, path, f"parallel step needs a tensor, found {have}")]
-    want = step_input(step)
-    if have != want:
-        return [Fault(k, path, f"step expects {want}, found {have}")]
-    return []
+        return Tensor(
+            _check_step(step.left, left, k, path + "L", perm_faults, boundary_faults),
+            _check_step(step.right, right, k, path + "R", perm_faults, boundary_faults),
+        )
+    if isinstance(step, PermStep):
+        perm_faults.extend(Fault(k, path, m) for m in step.perm.faults())
+    if have is not None:
+        want = step_input(step)
+        if have != want:
+            boundary_faults.append(Fault(k, path, f"step expects {want}, found {have}"))
+    return step_output(step)
 
 
 def validate(d: Diagram) -> list[Fault]:
     """All typing faults of a diagram, in step order; empty when the
-    diagram is well-formed. Checks boundary compatibility between
-    consecutive steps and every permutation table."""
+    diagram is well-formed. Checks every permutation table and boundary
+    compatibility between consecutive steps, one walk per step; within
+    a step, table faults come before boundary faults."""
     faults: list[Fault] = []
     have = d.initial
     for k, step in enumerate(d.steps):
-        faults.extend(_perm_faults(step, k, ""))
-        faults.extend(_boundary_faults(have, step, k, ""))
-        have = step_output(step)
+        perm_faults: list[Fault] = []
+        boundary_faults: list[Fault] = []
+        have = _check_step(step, have, k, "", perm_faults, boundary_faults)
+        faults += perm_faults + boundary_faults
     return faults
 
 

@@ -162,7 +162,8 @@ def _msg_type(m: tuple[ActionId, ActionId]) -> StateType:
 
 def _layers(x: Execution) -> dict[int, list[ActionId]]:
     """Layer = 1 + deepest direct predecessor (previous action on the
-    process, and the send for a receive)."""
+    process, and the send for a receive). Actions on a happens-before
+    cycle, and those after one, get no layer."""
     preds: dict[ActionId, list[ActionId]] = {a: [] for a in x.action_ids()}
     succs: dict[ActionId, list[ActionId]] = {a: [] for a in preds}
     for acts in x.processes.values():
@@ -196,12 +197,15 @@ def to_diagram(
     _require_valid(x)
     if not x.processes:
         raise ValueError("an execution needs at least one process to have sites")
-    hb_closure(x)  # cycle check
     pids = sorted(x.processes)
     owner = {a: p for p, acts in x.processes.items() for a in acts}
     send_msg = {s: (s, r) for s, r in x.messages}
     recv_msg = {r: (s, r) for s, r in x.messages}
     layers = _layers(x)
+    if sum(map(len, layers.values())) < len(owner):
+        # only a cycle leaves actions without a layer; the closure names
+        # an action on it
+        hb_closure(x)
 
     # groups of slots; a group is 1 slot, or (proc, msg) pending a join
     # or just after a fork

@@ -274,20 +274,25 @@ def _enumerate(
     if not future[numbers[t1][s1]] & target:
         return
 
+    # Depth-first with an explicit stack, so a long span is not bounded
+    # by the recursion limit. prefix[i] is the site at cut t1 + i and
+    # stack[i] iterates, in site order, over its successors not yet tried.
     prefix = [s1]
-
-    def walk(k: int) -> Iterator[PathWitness]:
-        if k == t2:
-            yield PathWitness(t1, tuple(prefix))
-            return
-        nxt = numbers[k + 1]
-        for b in adj[k].get(prefix[-1], ()):
-            if future[nxt[b]] & target:
-                prefix.append(b)
-                yield from walk(k + 1)
-                prefix.pop()
-
-    yield from walk(t1)
+    stack = [iter(adj[t1].get(s1, ()))] if t1 < t2 else []
+    if not stack:
+        yield PathWitness(t1, (s1,))
+    while stack:
+        k = t1 + len(stack)
+        nxt = numbers[k]
+        b = next((b for b in stack[-1] if future[nxt[b]] & target), None)
+        if b is None:
+            stack.pop()
+            prefix.pop()
+        elif k == t2:
+            yield PathWitness(t1, (*prefix, b))
+        else:
+            prefix.append(b)
+            stack.append(iter(adj[k].get(b, ())))
 
 
 def span_enumerate(d: Diagram, s1: SiteRef, s2: SiteRef) -> Iterator[PathWitness]:

@@ -21,6 +21,7 @@ from .diagram import (
     Tick,
     TickRef,
     cut_configs,
+    site_types,
     sites,
 )
 from .paths import step_relation
@@ -110,9 +111,7 @@ def to_ascii(d: Diagram, lab: Mapping[TickRef, Action] | None = None) -> str:
 
 
 def _columns(cfg):
-    from .diagram import site_type
-
-    return [(s, f"[{site_type(cfg, s)}]") for s in sites(cfg)]
+    return [(s, f"[{ty}]") for s, ty in site_types(cfg).items()]
 
 
 def render(

@@ -16,9 +16,12 @@ A diagram document is one JSON object:
 Sites and tree paths are strings over L/R, empty at the root. A perm
 step carries only its table; the source configuration comes from the
 step's position in the document and the target is rebuilt from the
-table's value paths, which determine a unique tree shape. Label values
-of the form {"actor": ..., "target": ...} are read back as Actions;
-anything else passes through as plain JSON.
+table's value paths, which determine a unique tree shape (an identity
+table's target is its source). Parsing is one walk per step, which
+also yields the configuration the next step applies to. Label values
+of the form {"actor": ..., "target": ...} are read back as Actions,
+whose actor and target must be strings or integers; anything else
+passes through as plain JSON.
 
 Printing is canonical (sorted keys, no whitespace, labels sorted by
 step then path), so parse-then-print is byte-stable and documents can
@@ -49,9 +52,7 @@ from .diagram import (
     Tensor,
     Tick,
     TickRef,
-    site_type,
-    sites,
-    step_output,
+    site_types,
 )
 from .paths import Event, PathWitness
 
@@ -132,7 +133,7 @@ def step_to_obj(step: GlobalStep) -> dict:
 
 
 def _site_ok(s: Any) -> bool:
-    return isinstance(s, str) and all(c in "LR" for c in s)
+    return isinstance(s, str) and not s.strip("LR")
 
 
 def _tree_from_paths(paths: set[str], type_of) -> Config:
@@ -162,48 +163,64 @@ def _perm_from_obj(body: Any, context: Config | None) -> PermStep:
             raise SchemaError(f"bad site in perm table: {s!r} -> {t!r}")
     if context is None:
         raise SchemaError("perm step in a position with no known configuration")
-    if set(table) != set(sites(context)):
+    types = site_types(context)
+    if table.keys() != types.keys():
         raise SchemaError(
             f"perm table keys {sorted(table)} do not match the sites "
-            f"{sorted(sites(context))} at this position"
+            f"{sorted(types)} at this position"
         )
     if len(set(table.values())) != len(table):
         raise SchemaError(f"perm table is not injective: {table!r}")
-    back = {t: s for s, t in table.items()}
-    target = _tree_from_paths(set(back), lambda p: site_type(context, back[p]))
+    if all(s == t for s, t in table.items()):
+        target = context
+    else:
+        back = {t: s for s, t in table.items()}
+        target = _tree_from_paths(set(back), lambda p: types[back[p]])
     return PermStep(Perm(context, target, tuple(sorted(table.items()))))
 
 
-def step_from_obj(obj: Any, context: Config | None = None) -> GlobalStep:
-    """Parse a step. `context` is the configuration the step is applied
-    to; it is how a perm learns its source and is threaded into par
-    halves."""
+def _step_from_obj(obj: Any, context: Config | None) -> tuple[GlobalStep, Config]:
+    """Parse a step applied to `context`; return it with its output
+    configuration, read off the same walk."""
     obj = _need(obj, "step")
     if "tick" in obj:
         body = obj["tick"]
         if not isinstance(body, dict) or set(body) != {"in", "out"}:
             raise SchemaError(f"tick takes in/out types, got {body!r}")
-        return Tick(type_from_obj(body["in"]), type_from_obj(body["out"]))
+        tick = Tick(type_from_obj(body["in"]), type_from_obj(body["out"]))
+        return tick, Leaf(tick.out_ty)
     if "fork" in obj:
         body = obj["fork"]
         if not isinstance(body, dict) or set(body) != {"l", "r"}:
             raise SchemaError(f"fork takes l/r types, got {body!r}")
-        return Fork(type_from_obj(body["l"]), type_from_obj(body["r"]))
+        l, r = type_from_obj(body["l"]), type_from_obj(body["r"])
+        return Fork(l, r), Tensor(Leaf(l), Leaf(r))
     if "join" in obj:
         body = obj["join"]
         if not isinstance(body, dict) or set(body) != {"l", "r"}:
             raise SchemaError(f"join takes l/r types, got {body!r}")
-        return Join(type_from_obj(body["l"]), type_from_obj(body["r"]))
+        l, r = type_from_obj(body["l"]), type_from_obj(body["r"])
+        return Join(l, r), Leaf(Prod(l, r))
     if "perm" in obj:
-        return _perm_from_obj(obj["perm"], context)
+        step = _perm_from_obj(obj["perm"], context)
+        return step, step.perm.target
     if "par" in obj:
         parts = obj["par"]
         if not isinstance(parts, list) or len(parts) != 2:
             raise SchemaError(f"par takes two steps, got {parts!r}")
         lctx = context.left if isinstance(context, Tensor) else None
         rctx = context.right if isinstance(context, Tensor) else None
-        return Par(step_from_obj(parts[0], lctx), step_from_obj(parts[1], rctx))
+        left, lout = _step_from_obj(parts[0], lctx)
+        right, rout = _step_from_obj(parts[1], rctx)
+        return Par(left, right), Tensor(lout, rout)
     raise SchemaError(f"unknown step node {obj!r}")
+
+
+def step_from_obj(obj: Any, context: Config | None = None) -> GlobalStep:
+    """Parse a step. `context` is the configuration the step is applied
+    to; it is how a perm learns its source and is threaded into par
+    halves."""
+    return _step_from_obj(obj, context)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +235,23 @@ def label_value_to_obj(value: Any) -> Any:
     return value
 
 
+def _pid_ok(p: Any) -> bool:
+    return isinstance(p, (str, int)) and not isinstance(p, bool)
+
+
 def label_value_from_obj(obj: Any) -> Any:
     if isinstance(obj, dict) and "actor" in obj:
         extra = set(obj) - {"actor", "target"}
         if extra:
             raise SchemaError(f"unknown action fields {sorted(extra)}")
-        return Action(obj["actor"], obj.get("target"))
+        actor, target = obj["actor"], obj.get("target")
+        if not _pid_ok(actor):
+            raise SchemaError(f"action actor must be a string or an integer, got {actor!r}")
+        if target is not None and not _pid_ok(target):
+            raise SchemaError(
+                f"action target must be a string, an integer or null, got {target!r}"
+            )
+        return Action(actor, target)
     return obj
 
 
@@ -253,11 +281,10 @@ def diagram_from_obj(obj: Any) -> tuple[Diagram, dict[TickRef, Any]]:
     if not isinstance(raw_steps, list):
         raise SchemaError(f"steps must be a list, got {raw_steps!r}")
     steps = []
-    context: Config | None = initial
+    context = initial
     for raw in raw_steps:
-        step = step_from_obj(raw, context)
+        step, context = _step_from_obj(raw, context)
         steps.append(step)
-        context = step_output(step)
     lab: dict[TickRef, Any] = {}
     for entry in obj.get("labels", []):
         if not isinstance(entry, dict) or not {"step", "path", "value"} <= set(entry):

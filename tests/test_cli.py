@@ -149,6 +149,13 @@ def test_paths_enumerates_witnesses(tmp_path, capsys):
     ]
 
 
+def test_paths_follow_a_span_longer_than_the_recursion_limit(tmp_path, capsys):
+    long = Diagram(Leaf(A), (Tick(A, A),) * 1200)
+    path = write(tmp_path, "long.json", diagram_to_json(long))
+    assert main(["paths", path, "--from", "0:.", "--to", "1200:.", "--limit", "1"]) == 0
+    assert capsys.readouterr().out.count(" -> ") == 1200
+
+
 def test_paths_between_unrelated_events_prints_nothing(tmp_path, capsys):
     path = write(tmp_path, "swapped.json", swapped_diamond_doc())
     assert main(["paths", path, "--from", "0:L", "--to", "1:R"]) == 0
@@ -213,6 +220,16 @@ def test_timestamps_reject_non_integer_matrix_counts(tmp_path, flow_file, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "non-negative integer" in err
+
+
+def test_timestamps_reject_non_scalar_actors(tmp_path, capsys):
+    doc = json.loads(diagram_to_json(*build_two_tick()))
+    doc["labels"][0]["value"] = {"actor": ["x"]}
+    path = write(tmp_path, "listy.json", json.dumps(doc))
+    assert main(["timestamps", path, "--clock", "vector"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "actor must be a string or an integer" in err
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +356,16 @@ def test_import_execution_rejects_non_string_endpoints(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "pair of action ids" in err
+
+
+def test_import_execution_rejects_non_scalar_actors(tmp_path, capsys):
+    obj = execution_to_obj(PING)
+    obj["actions"]["a1"] = {"actor": ["x"]}
+    path = write(tmp_path, "listy.json", json.dumps(obj))
+    assert main(["import-execution", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "actor must be a string or an integer" in err
 
 
 def test_subcommand_is_required():

@@ -1,3 +1,7 @@
+import gc
+import sys
+import weakref
+
 import pytest
 
 from causalweft.diagram import (
@@ -33,6 +37,7 @@ from causalweft.diagram import (
     seq_concat,
     seq_extend,
     site_type,
+    site_types,
     sites,
     step_input,
     step_output,
@@ -85,6 +90,37 @@ def test_subconfig_and_site_type():
         subconfig(cfg, "X")
     with pytest.raises(ValueError):
         site_type(cfg, "R")  # not a leaf
+
+
+def test_site_table_is_built_once_and_freed_with_its_configuration():
+    cfg = tensor([Leaf(A), Leaf(Prod(A, B)), Leaf(C)])
+    table = site_types(cfg)
+    assert table == {"LL": A, "LR": Prod(A, B), "R": C}
+    assert site_types(cfg) is table
+    ref = weakref.ref(cfg)
+    del cfg
+    gc.collect()
+    assert ref() is None
+    # no cache outside the configuration kept the table: this frame's
+    # name and getrefcount's argument are its only references
+    assert sys.getrefcount(table) == 2
+
+
+def test_equal_configurations_do_not_share_a_site_table():
+    a, b = tensor([Leaf(A), Leaf(B)]), tensor([Leaf(A), Leaf(B)])
+    assert a == b and a is not b
+    assert site_types(a) == site_types(b)
+    assert site_types(a) is not site_types(b)
+
+
+def test_site_walks_take_deep_configurations():
+    # tensor nests to the left, so the tree is as deep as it is wide
+    cfg = tensor([Leaf(A)] * 2999 + [Leaf(B)])
+    paths = sites(cfg)
+    assert len(paths) == n_sites(cfg) == 3000
+    assert paths[0] == "L" * 2999 and paths[-1] == "R"
+    assert site_type(cfg, "R") == B
+    assert perm_id(cfg).faults() == []
 
 
 def test_tensor_builder():

@@ -1,0 +1,138 @@
+"""Byte identity of the command line on committed inputs.
+
+`golden/sums.json` holds the SHA-256 of the exit code and stdout of each
+command `record` runs, taken before the one-pass rewrite of parsing,
+validation and stamp printing: import-execution on three executions (1,
+4 and 8 processes); validate, render and timestamps in every format and
+clock on each imported diagram and on one `gen_diagram` document; and
+the JSON reports of both checkers on that document. A change that
+leaves the output alone must leave every sum as it is. After a
+deliberate change of output, record the sums again with
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden/sums.json
+
+The fault-list tests below pin the order and text of `validate`'s
+faults on malformed diagrams, which the sums cannot reach.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from causalweft.cli import main
+from causalweft.diagram import (
+    Atom,
+    Diagram,
+    Leaf,
+    Par,
+    Perm,
+    PermStep,
+    Prod,
+    Tensor,
+    Tick,
+    validate,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXECUTIONS = ("execution-p1", "execution-p4", "execution-p8")
+CLOCKS = ("scalar", "vector", "rst", "wb")
+DOCUMENT_COMMANDS = (
+    ("validate",),
+    ("validate", "--json"),
+    ("render", "--format", "dot"),
+    ("render", "--format", "ascii"),
+    *(("timestamps", "--clock", c, *j) for c in CLOCKS for j in ((), ("--json",))),
+)
+
+A, B = Atom("A"), Atom("B")
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def record(scratch: Path) -> dict[str, str]:
+    """Run every golden command; map its name to the SHA-256 of its exit
+    code and stdout. Imported documents are written under `scratch`."""
+    sums = {}
+
+    def run(name: str, argv: list[str]) -> str:
+        code, out = _run(argv)
+        sums[name] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+        return out
+
+    docs = {"diagram": GOLDEN / "diagram.json"}
+    for name in EXECUTIONS:
+        out = run(f"import-execution {name}", ["import-execution", str(GOLDEN / f"{name}.json")])
+        docs[name] = scratch / f"{name}.diagram.json"
+        docs[name].write_text(out, encoding="utf-8")
+    for name, path in docs.items():
+        for cmd, *opts in DOCUMENT_COMMANDS:
+            run(" ".join([cmd, name, *opts]), [cmd, str(path), *opts])
+    path = str(docs["diagram"])
+    for c in CLOCKS:
+        run(f"check-clock diagram --clock {c} --json", ["check-clock", path, "--clock", c, "--json"])
+    run("check-order diagram --json", ["check-order", path, "--json"])
+    return sums
+
+
+def test_command_output_matches_the_recorded_sums(tmp_path):
+    want = json.loads((GOLDEN / "sums.json").read_text(encoding="utf-8"))
+    assert record(tmp_path) == want
+
+
+# ---------------------------------------------------------------------------
+# fault lists of malformed diagrams
+
+def faults(d: Diagram) -> list[str]:
+    return [str(f) for f in validate(d)]
+
+
+def test_par_over_a_leaf():
+    d = Diagram(Leaf(A), (Par(Tick(A, A), Tick(A, A)), Tick(A, B)))
+    assert faults(d) == [
+        "step 0 at .: parallel step needs a tensor, found [A]",
+        "step 1 at .: step expects [A], found ([A] * [A])",
+    ]
+
+
+def test_bad_perm_table_beside_a_boundary_mismatch():
+    pair = Tensor(Leaf(A), Leaf(B))
+    # hits L twice and names a site the pair lacks
+    bad = Perm(pair, pair, (("L", "R"), ("R", "L"), ("RL", "L")))
+    d = Diagram(
+        Tensor(Tensor(Leaf(B), Leaf(A)), Leaf(A)),
+        (Par(Par(Tick(A, A), PermStep(bad)), Tick(B, A)), Tick(A, A)),
+    )
+    assert faults(d) == [
+        "step 0 at LR: target site 'L' hit twice (not injective)",
+        "step 0 at LR: 'RL' is not a site of the source",
+        "step 0 at LL: step expects [A], found [B]",
+        "step 0 at LR: step expects ([A] * [B]), found [A]",
+        "step 0 at R: step expects [B], found [A]",
+        "step 1 at .: step expects [A], found (([A] * ([A] * [B])) * [A])",
+    ]
+
+
+def test_tick_with_the_wrong_input_type():
+    d = Diagram(
+        Tensor(Leaf(A), Leaf(Prod(A, B))),
+        (Par(Tick(A, A), Tick(B, A)), Par(Tick(A, B), Tick(A, A)), Tick(B, B)),
+    )
+    assert faults(d) == [
+        "step 0 at R: step expects [B], found [(A x B)]",
+        "step 2 at .: step expects [B], found ([B] * [A])",
+    ]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        json.dump(record(Path(scratch)), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

@@ -120,6 +120,20 @@ def test_cyclic_execution_is_rejected():
         to_diagram(x)
 
 
+def test_to_diagram_names_the_action_the_closure_names():
+    # the cycle sits behind an acyclic process and a message into it
+    x = make_execution(
+        {"p1": ("a5", "a1", "a4"), "p2": ("a2", "a3"), "p3": ("a0",)},
+        messages=[("a4", "a2"), ("a3", "a1"), ("a0", "a5")],
+    )
+    with pytest.raises(CyclicExecutionError) as closure:
+        hb_closure(x)
+    with pytest.raises(CyclicExecutionError) as compiled:
+        to_diagram(x)
+    assert str(compiled.value) == str(closure.value)
+    assert str(compiled.value) == "action 'a1' happens before itself"
+
+
 def test_invalid_execution_is_rejected_before_closure():
     x = make_execution({"p1": ("a1",), "p2": ("a1",)})
     with pytest.raises(ValueError, match="invalid execution"):

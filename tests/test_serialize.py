@@ -224,6 +224,32 @@ def test_action_labels_reject_stray_fields():
         diagram_from_obj(doc)
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ({"actor": ["x"]}, "actor must be"),
+        ({"actor": True}, "actor must be"),
+        ({"actor": 1.5}, "actor must be"),
+        ({"actor": None}, "actor must be"),
+        ({"actor": "p1", "target": {"p": 2}}, "target must be"),
+        ({"actor": "p1", "target": False}, "target must be"),
+    ],
+)
+def test_action_labels_need_scalar_pids(value, message):
+    d = Diagram(Leaf(A), (Tick(A, A),))
+    doc = diagram_to_obj(d, None)
+    doc["labels"] = [{"step": 0, "path": "", "value": value}]
+    with pytest.raises(SchemaError, match=message):
+        diagram_from_obj(doc)
+
+
+def test_action_labels_take_string_and_integer_pids():
+    d = Diagram(Leaf(A), (Tick(A, A),))
+    doc = diagram_to_obj(d, None)
+    doc["labels"] = [{"step": 0, "path": "", "value": {"actor": 3, "target": "p1"}}]
+    assert diagram_from_obj(doc)[1] == {TickRef(0, ""): Action(3, "p1")}
+
+
 # ---------------------------------------------------------------------------
 # witnesses
 
