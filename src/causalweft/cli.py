@@ -21,11 +21,7 @@ from .clocks import (
     zero_valuation,
 )
 from .diagram import Diagram, ticks, validate
-from .lamport import (
-    CyclicExecutionError,
-    execution_from_json,
-    to_diagram,
-)
+from .lamport import execution_from_json, to_diagram
 from .paths import Event, causal_paths
 from .render import render
 from .serialize import (
@@ -331,13 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, CyclicExecutionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # SchemaError, CyclicExecutionError included
         print(f"error: {e}", file=sys.stderr)
         return 2
 

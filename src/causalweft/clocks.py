@@ -17,21 +17,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .diagram import (
     Diagram,
     Fork,
-    GlobalStep,
     Join,
-    Par,
     PermStep,
     SiteRef,
     Tick,
     TickRef,
-    before,
-    restrict_labeling,
+    site_types,
     sites,
+    step_atoms,
 )
 from .paths import Event, check_event
 
@@ -332,35 +330,42 @@ def zero_valuation(clock: Clock, config) -> dict[SiteRef, Any]:
     return {s: clock.zero() for s in sites(config)}
 
 
-def _label(lab: Mapping[TickRef, Action], ref: TickRef) -> Action:
-    try:
-        return lab[ref]
-    except KeyError:
-        raise ValueError(f"tick {ref} has no label") from None
-
-
-def _apply_step(
-    step: GlobalStep,
-    k: int,
-    prefix: str,
-    val: Mapping[SiteRef, Any],
-    out: dict[SiteRef, Any],
+def _sweep(
+    d: Diagram,
     lab: Mapping[TickRef, Action],
     clock: Clock,
-) -> None:
-    match step:
-        case Par(left, right):
-            _apply_step(left, k, prefix + "L", val, out, lab, clock)
-            _apply_step(right, k, prefix + "R", val, out, lab, clock)
-        case Tick():
-            out[prefix] = clock.increment(_label(lab, TickRef(k, prefix)), val[prefix])
-        case Fork():
-            out[prefix + "L"] = out[prefix + "R"] = val[prefix]
-        case Join():
-            out[prefix] = clock.merge(val[prefix + "L"], val[prefix + "R"])
-        case PermStep(perm):
-            for s, t in perm.pairs:
-                out[prefix + t] = val[prefix + s]
+    valuation: Valuation,
+    stop: int | None = None,
+) -> Iterator[dict[SiteRef, Any]]:
+    """The valuation at every cut from 0 up to `stop` (default: the
+    last), one step at a time. Ticks increment, forks copy, joins merge
+    and perms move; a stamp that is only moved stays the same object."""
+    cur = dict(valuation)
+    want = site_types(d.initial)
+    if cur.keys() != want.keys():
+        raise ValueError(
+            f"valuation keys {sorted(cur)} do not match initial sites {sorted(want)}"
+        )
+    yield cur
+    for k, step in enumerate(d.steps[:stop]):
+        nxt: dict[SiteRef, Any] = {}
+        for p, atom in step_atoms(step):
+            match atom:
+                case Tick():
+                    try:
+                        action = lab[TickRef(k, p)]
+                    except KeyError:
+                        raise ValueError(f"tick {TickRef(k, p)} has no label") from None
+                    nxt[p] = clock.increment(action, cur[p])
+                case Fork():
+                    nxt[p + "L"] = nxt[p + "R"] = cur[p]
+                case Join():
+                    nxt[p] = clock.merge(cur[p + "L"], cur[p + "R"])
+                case PermStep(perm):
+                    for s, t in perm.pairs:
+                        nxt[p + t] = cur[p + s]
+        yield nxt
+        cur = nxt
 
 
 def update(
@@ -372,16 +377,8 @@ def update(
     """Push a per-site valuation through a whole diagram, returning the
     valuation of the final configuration. The diagram must be valid
     and the labeling total on its ticks."""
-    cur = dict(valuation)
-    want = set(sites(d.initial))
-    if set(cur) != want:
-        raise ValueError(
-            f"valuation keys {sorted(cur)} do not match initial sites {sorted(want)}"
-        )
-    for k, step in enumerate(d.steps):
-        nxt: dict[SiteRef, Any] = {}
-        _apply_step(step, k, "", cur, nxt, lab, clock)
-        cur = nxt
+    for cur in _sweep(d, lab, clock, valuation):
+        pass
     return cur
 
 
@@ -392,18 +389,9 @@ def timestamp_all(
     valuation: Valuation,
 ) -> dict[Event, Any]:
     """Timestamp of every event of the diagram, in one forward pass."""
-    cur = dict(valuation)
-    want = set(sites(d.initial))
-    if set(cur) != want:
-        raise ValueError(
-            f"valuation keys {sorted(cur)} do not match initial sites {sorted(want)}"
-        )
-    out = {Event(0, s): v for s, v in cur.items()}
-    for k, step in enumerate(d.steps):
-        nxt: dict[SiteRef, Any] = {}
-        _apply_step(step, k, "", cur, nxt, lab, clock)
-        out.update((Event(k + 1, s), v) for s, v in nxt.items())
-        cur = nxt
+    out: dict[Event, Any] = {}
+    for t, cur in enumerate(_sweep(d, lab, clock, valuation)):
+        out.update((Event(t, s), v) for s, v in cur.items())
     return out
 
 
@@ -414,8 +402,10 @@ def clock_at(
     valuation: Valuation,
     e: Event,
 ) -> Any:
-    """The clock read at one event: run the prefix up to the event's
-    cut and look at its site. Agrees with `timestamp_all`."""
+    """The clock read at one event: sweep up to the event's cut and
+    look at its site. Agrees with `timestamp_all`, and reads no label
+    past that cut."""
     check_event(d, e)
-    prefix = before(d, e.cut)
-    return update(prefix, restrict_labeling(lab, 0, e.cut), clock, valuation)[e.site]
+    for cur in _sweep(d, lab, clock, valuation, e.cut):
+        pass
+    return cur[e.site]

@@ -85,7 +85,16 @@ class Tensor:
     right: "Config"
 
     def __str__(self) -> str:
-        return f"({self.left} * {self.right})"
+        # explicit stack: left-nested tensors outgrow the recursion limit
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Tensor):
+                out.append("(")
+                stack += (")", node.right, " * ", node.left)
+            else:
+                out.append(str(node))
+        return "".join(out)
 
 
 Config = Leaf | Tensor
@@ -190,7 +199,10 @@ class Perm:
         )
 
     def is_identity(self) -> bool:
-        return self.source == self.target and all(s == t for s, t in self.pairs)
+        if any(s != t for s, t in self.pairs):
+            return False
+        # a site table fixes its tree, and comparing tables does not recurse
+        return site_types(self.source) == site_types(self.target)
 
     def faults(self) -> list[str]:
         """Why this is not a type-preserving bijection; empty if it is."""
@@ -334,6 +346,22 @@ def step_output(step: GlobalStep) -> Config:
         case Par(left, right):
             return Tensor(step_output(left), step_output(right))
     raise TypeError(f"not a step: {step!r}")
+
+
+def step_atoms(step: GlobalStep) -> Iterator[tuple[str, AtomicStep]]:
+    """The atomic actions of a step with their paths in its tree, in
+    left-to-right order. One walk with an explicit stack, so wide
+    parallel steps are not bounded by the recursion limit."""
+    stack = [(step, "")]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, Par):
+            stack.append((node.right, path + "R"))
+            stack.append((node.left, path + "L"))
+        elif isinstance(node, (Tick, Fork, Join, PermStep)):
+            yield path, node
+        else:
+            raise TypeError(f"not a step: {node!r}")
 
 
 def par(steps: Sequence[GlobalStep]) -> GlobalStep:
@@ -512,23 +540,14 @@ class TickRef:
     path: str
 
 
-def _collect_ticks(step: GlobalStep, k: int, path: str, out: list[TickRef]) -> None:
-    match step:
-        case Par(left, right):
-            _collect_ticks(left, k, path + "L", out)
-            _collect_ticks(right, k, path + "R", out)
-        case Tick():
-            out.append(TickRef(k, path))
-        case _:
-            pass
-
-
 def ticks(d: Diagram) -> tuple[TickRef, ...]:
     """All ticks of a diagram in (step, left-to-right) order."""
-    out: list[TickRef] = []
-    for k, step in enumerate(d.steps):
-        _collect_ticks(step, k, "", out)
-    return tuple(out)
+    return tuple(
+        TickRef(k, path)
+        for k, step in enumerate(d.steps)
+        for path, atom in step_atoms(step)
+        if isinstance(atom, Tick)
+    )
 
 
 def tick_at(d: Diagram, ref: TickRef) -> Tick:

@@ -29,7 +29,6 @@ from .diagram import (
     Fork,
     GlobalStep,
     Join,
-    Par,
     PermStep,
     SiteRef,
     Tick,
@@ -37,6 +36,7 @@ from .diagram import (
     cut_config,
     cut_configs,
     sites,
+    step_atoms,
     tick_at,
 )
 
@@ -90,20 +90,18 @@ def step_relation(step: GlobalStep) -> set[tuple[SiteRef, SiteRef]]:
     connect each site to its image, and Par keeps the two halves
     disjoint.
     """
-    match step:
-        case Tick():
-            return {("", "")}
-        case Fork():
-            return {("", "L"), ("", "R")}
-        case Join():
-            return {("L", ""), ("R", "")}
-        case PermStep(perm):
-            return set(perm.pairs)
-        case Par(left, right):
-            rel = {("L" + a, "L" + b) for a, b in step_relation(left)}
-            rel.update(("R" + a, "R" + b) for a, b in step_relation(right))
-            return rel
-    raise TypeError(f"not a step: {step!r}")
+    rel: set[tuple[SiteRef, SiteRef]] = set()
+    for p, atom in step_atoms(step):
+        match atom:
+            case Tick():
+                rel.add((p, p))
+            case Fork():
+                rel.update(((p, p + "L"), (p, p + "R")))
+            case Join():
+                rel.update(((p + "L", p), (p + "R", p)))
+            case PermStep(perm):
+                rel.update((p + a, p + b) for a, b in perm.pairs)
+    return rel
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ each cut as a rule of site columns with the step's actions between.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .clocks import Action
 from .diagram import (
@@ -16,13 +16,13 @@ from .diagram import (
     Fork,
     GlobalStep,
     Join,
-    Par,
     PermStep,
     Tick,
     TickRef,
     cut_configs,
     site_types,
     sites,
+    step_atoms,
 )
 from .paths import step_relation
 
@@ -70,30 +70,27 @@ def to_dot(d: Diagram, lab: Mapping[TickRef, Action] | None = None) -> str:
 
 
 def _step_lines(
-    step: GlobalStep, k: int, path: str, lab: Mapping[TickRef, Action] | None
-) -> list[str]:
-    at = path if path else "."
-    match step:
-        case Par(left, right):
-            return _step_lines(left, k, path + "L", lab) + _step_lines(
-                right, k, path + "R", lab
-            )
-        case Tick(in_ty, out_ty):
-            line = f"tick @ {at}: {in_ty} -> {out_ty}"
-            if lab and TickRef(k, path) in lab:
-                line += f"  ({_action_text(lab[TickRef(k, path)])})"
-            return [line]
-        case Fork(l, r):
-            return [f"fork @ {at}: ({l} x {r}) -> {l} | {r}"]
-        case Join(l, r):
-            return [f"join @ {at}: {l} | {r} -> ({l} x {r})"]
-        case PermStep(perm):
-            moved = [(s, t) for s, t in perm.pairs if s != t]
-            if not moved:
-                return [f"hold @ {at}"]
-            routes = ", ".join(f"{s or '.'}->{t or '.'}" for s, t in moved)
-            return [f"perm @ {at}: {routes}"]
-    raise TypeError(f"not a step: {step!r}")
+    step: GlobalStep, k: int, lab: Mapping[TickRef, Action] | None
+) -> Iterator[str]:
+    for path, atom in step_atoms(step):
+        at = path if path else "."
+        match atom:
+            case Tick(in_ty, out_ty):
+                line = f"tick @ {at}: {in_ty} -> {out_ty}"
+                if lab and TickRef(k, path) in lab:
+                    line += f"  ({_action_text(lab[TickRef(k, path)])})"
+                yield line
+            case Fork(l, r):
+                yield f"fork @ {at}: ({l} x {r}) -> {l} | {r}"
+            case Join(l, r):
+                yield f"join @ {at}: {l} | {r} -> ({l} x {r})"
+            case PermStep(perm):
+                moved = [(s, t) for s, t in perm.pairs if s != t]
+                if not moved:
+                    yield f"hold @ {at}"
+                else:
+                    routes = ", ".join(f"{s or '.'}->{t or '.'}" for s, t in moved)
+                    yield f"perm @ {at}: {routes}"
 
 
 def to_ascii(d: Diagram, lab: Mapping[TickRef, Action] | None = None) -> str:
@@ -105,7 +102,7 @@ def to_ascii(d: Diagram, lab: Mapping[TickRef, Action] | None = None) -> str:
         out.append(f"---- cut {t} ----")
         out.append("  ".join(f"{s or '.'}={cfg_site}" for s, cfg_site in _columns(cfg)))
         if t < d.n_steps:
-            for line in _step_lines(d.steps[t], t, "", lab):
+            for line in _step_lines(d.steps[t], t, lab):
                 out.append("    " + line)
     return "\n".join(out) + "\n"
 

@@ -368,6 +368,19 @@ def test_import_execution_rejects_non_scalar_actors(tmp_path, capsys):
     assert "actor must be a string or an integer" in err
 
 
+def test_import_and_validate_take_400_processes(tmp_path, capsys):
+    # one site per process, so the configuration nests 400 tensors deep
+    wide = make_execution({f"p{i}": (f"a{i}",) for i in range(400)})
+    path = write(tmp_path, "wide.json", json.dumps(execution_to_obj(wide)))
+    out = str(tmp_path / "compiled.json")
+    assert main(["import-execution", path, "--out", out]) == 0
+    assert main(["validate", out]) == 0
+    final = capsys.readouterr().out.rstrip("\n")
+    assert final.startswith("(" * 399 + "[") and final.count(" * ") == 399
+    assert main(["validate", out, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "faults": [], "final": final}
+
+
 def test_subcommand_is_required():
     with pytest.raises(SystemExit):
         main([])

@@ -32,11 +32,15 @@ from causalweft.diagram import (
     cut_configs,
     during,
     identity,
+    par,
     restrict_labeling,
     seq_concat,
     sites,
+    tensor,
+    tick_labels,
+    ticks,
 )
-from causalweft.paths import Event, events
+from causalweft.paths import Event, events, step_relation
 
 A, B = Atom("A"), Atom("B")
 
@@ -251,6 +255,24 @@ def test_update_is_compositional(small_corpus):
         assert update(tail, restrict_labeling(lab, t, d.n_steps), c, mid) == whole
 
 
+def test_a_step_wider_than_the_recursion_limit():
+    # par nests to the left, so the step tree is as deep as it is wide
+    n = 3000
+    d = Diagram(tensor([Leaf(A)] * n), (par([Tick(A, A)] * n),))
+    refs = ticks(d)
+    assert len(refs) == n
+    assert refs[0] == TickRef(0, "L" * (n - 1)) and refs[-1] == TickRef(0, "R")
+    lab = tick_labels(d, [Action(f"p{i}") for i in range(n)])
+    assert step_relation(d.steps[0]) == {(s, s) for s in sites(d.initial)}
+    c = vector_clock()
+    v = zero_valuation(c, d.initial)
+    out = update(d, lab, c, v)
+    assert out["R"] == ClassifierStamp({f"p{n - 1}": 1})
+    stamps = timestamp_all(d, lab, c, v)
+    assert len(stamps) == 2 * n
+    assert all(stamps[Event(1, s)] == out[s] for s in out)
+
+
 def test_perm_steps_relocate_timestamps(small_corpus):
     c = vector_clock()
     for d, lab in small_corpus[:80]:
@@ -291,3 +313,12 @@ def test_clock_at_agrees_with_the_forward_pass(small_corpus):
             stamps = timestamp_all(d, lab, clock, v)
             for e in events(d):
                 assert clock_at(d, lab, clock, v, e) == stamps[e]
+
+
+def test_clock_at_reads_no_label_past_the_events_cut(small_corpus):
+    for clock in (scalar_clock(), wb_clock()):
+        for d, lab in small_corpus[:40]:
+            v = zero_valuation(clock, d.initial)
+            for e in events(d):
+                head = {r: a for r, a in lab.items() if r.step < e.cut}
+                assert clock_at(d, head, clock, v, e) == clock_at(d, lab, clock, v, e)

@@ -39,6 +39,7 @@ from causalweft.diagram import (
     site_type,
     site_types,
     sites,
+    step_atoms,
     step_input,
     step_output,
     subconfig,
@@ -123,6 +124,13 @@ def test_site_walks_take_deep_configurations():
     assert perm_id(cfg).faults() == []
 
 
+def test_deep_configurations_print():
+    assert str(tensor([Leaf(A), Leaf(Prod(A, B)), Leaf(C)])) == "(([A] * [(A x B)]) * [C])"
+    assert str(Tensor(Leaf(A), Tensor(Leaf(B), Leaf(C)))) == "([A] * ([B] * [C]))"
+    cfg = tensor([Leaf(A)] * 2999 + [Leaf(B)])
+    assert str(cfg) == "(" * 2999 + "[A]" + " * [A])" * 2998 + " * [B])"
+
+
 def test_tensor_builder():
     assert tensor([Leaf(A)]) == Leaf(A)
     assert tensor([Leaf(A), Leaf(B), Leaf(C)]) == Tensor(
@@ -183,6 +191,17 @@ def test_perm_identity_predicate():
     assert not perm_swap(Leaf(A), Leaf(B)).is_identity()
 
 
+def test_identity_predicate_takes_deep_configurations():
+    cfg = tensor([Leaf(A)] * 3000)
+    pairs = perm_id(cfg).pairs
+    assert Perm(cfg, tensor([Leaf(A)] * 3000), pairs).is_identity()
+    assert not Perm(cfg, tensor([Leaf(A)] * 2999 + [Leaf(B)]), pairs).is_identity()
+    # same sites, other shape: the pairs match but the trees do not
+    three = tensor([Leaf(A)] * 3)
+    other = Tensor(Leaf(A), Tensor(Leaf(A), Leaf(A)))
+    assert not Perm(three, other, perm_id(three).pairs).is_identity()
+
+
 # ---------------------------------------------------------------------------
 # step boundaries
 
@@ -199,6 +218,20 @@ def test_step_boundaries():
     both = Par(Tick(A, A), Fork(B, C))
     assert step_input(both) == Tensor(Leaf(A), Leaf(Prod(B, C)))
     assert step_output(both) == Tensor(Leaf(A), Tensor(Leaf(B), Leaf(C)))
+
+
+def test_step_atoms_walk_left_to_right():
+    swap = PermStep(perm_swap(Leaf(A), Leaf(B)))
+    step = Par(Par(Tick(A, A), Fork(A, B)), Par(swap, Join(A, B)))
+    assert list(step_atoms(step)) == [
+        ("LL", Tick(A, A)),
+        ("LR", Fork(A, B)),
+        ("RL", swap),
+        ("RR", Join(A, B)),
+    ]
+    assert list(step_atoms(Tick(A, B))) == [("", Tick(A, B))]
+    with pytest.raises(TypeError, match="not a step"):
+        list(step_atoms(Par(Tick(A, A), Leaf(A))))
 
 
 def test_par_builder():

@@ -143,6 +143,14 @@ def test_invalid_execution_is_rejected_before_closure():
 # ---------------------------------------------------------------------------
 # compilation
 
+def test_to_diagram_takes_400_one_action_processes():
+    # one site per process, so the configuration nests 400 tensors deep
+    wide = make_execution({f"p{i}": (f"a{i}",) for i in range(400)})
+    d, lab, index = to_diagram(wide)
+    assert n_sites(d.initial) == 400 and len(lab) == len(index) == 400
+    assert validate(d) == []
+
+
 def test_internal_actions_compile_to_bare_ticks():
     x = make_execution({"p1": ("a1", "a2")})
     d, lab, tick_index = to_diagram(x)
