@@ -323,8 +323,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process. `parse_args` returns a fresh Namespace and
+# changes nothing here, so no call sees another call's arguments.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as e:  # SchemaError, CyclicExecutionError included

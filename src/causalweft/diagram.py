@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -318,8 +318,8 @@ def noop(config: Config) -> PermStep:
     return PermStep(perm_id(config))
 
 
-def step_input(step: GlobalStep) -> Config:
-    match step:
+def _atom_input(atom: AtomicStep) -> Config:
+    match atom:
         case Tick(in_ty, _):
             return Leaf(in_ty)
         case Fork(l, r):
@@ -328,13 +328,11 @@ def step_input(step: GlobalStep) -> Config:
             return Tensor(Leaf(l), Leaf(r))
         case PermStep(perm):
             return perm.source
-        case Par(left, right):
-            return Tensor(step_input(left), step_input(right))
-    raise TypeError(f"not a step: {step!r}")
+    raise TypeError(f"not a step: {atom!r}")
 
 
-def step_output(step: GlobalStep) -> Config:
-    match step:
+def _atom_output(atom: AtomicStep) -> Config:
+    match atom:
         case Tick(_, out_ty):
             return Leaf(out_ty)
         case Fork(l, r):
@@ -343,9 +341,33 @@ def step_output(step: GlobalStep) -> Config:
             return Leaf(Prod(l, r))
         case PermStep(perm):
             return perm.target
-        case Par(left, right):
-            return Tensor(step_output(left), step_output(right))
-    raise TypeError(f"not a step: {step!r}")
+    raise TypeError(f"not a step: {atom!r}")
+
+
+def _step_end(step: GlobalStep, atom_end) -> Config:
+    """One end of a step: `atom_end` of each atomic action, tensored
+    along the step's tree. Built bottom-up with an explicit stack, so
+    wide parallel steps are not bounded by the recursion limit."""
+    done: list[Config] = []
+    stack: list[GlobalStep | None] = [step]
+    while stack:
+        node = stack.pop()
+        if node is None:  # both halves of a parallel step are done
+            right = done.pop()
+            done[-1] = Tensor(done[-1], right)
+        elif isinstance(node, Par):
+            stack += (None, node.right, node.left)
+        else:
+            done.append(atom_end(node))
+    return done[0]
+
+
+def step_input(step: GlobalStep) -> Config:
+    return _step_end(step, _atom_input)
+
+
+def step_output(step: GlobalStep) -> Config:
+    return _step_end(step, _atom_output)
 
 
 def step_atoms(step: GlobalStep) -> Iterator[tuple[str, AtomicStep]]:
@@ -433,52 +455,74 @@ class Fault:
         return f"step {self.step} at {at}: {self.message}"
 
 
-def _check_step(
-    step: GlobalStep,
-    have: Config | None,
-    k: int,
-    path: str,
-    perm_faults: list[Fault],
-    boundary_faults: list[Fault],
-) -> Config:
-    """One walk over a step applied to `have`: collects the faults of its
-    permutation tables and its boundary mismatches, each in tree order,
-    and returns the step's output configuration. `have` is None below a
-    parallel step that met a leaf, where there is no boundary to check."""
-    if isinstance(step, Par):
-        left = right = None
-        if isinstance(have, Tensor):
-            left, right = have.left, have.right
-        elif have is not None:
-            boundary_faults.append(
-                Fault(k, path, f"parallel step needs a tensor, found {have}")
-            )
-        return Tensor(
-            _check_step(step.left, left, k, path + "L", perm_faults, boundary_faults),
-            _check_step(step.right, right, k, path + "R", perm_faults, boundary_faults),
-        )
-    if isinstance(step, PermStep):
-        perm_faults.extend(Fault(k, path, m) for m in step.perm.faults())
-    if have is not None:
-        want = step_input(step)
-        if have != want:
-            boundary_faults.append(Fault(k, path, f"step expects {want}, found {have}"))
-    return step_output(step)
+def check_boundary(
+    faults: list[Fault], k: int, path: str, have: Config | None, want: Config | None
+) -> None:
+    """Append to `faults` the fault of applying the node at `path` of
+    step k to `have`, if it does not fit. `want` is the input of an
+    atomic action; None stands for a parallel step, which needs a
+    tensor. `have` is None below a parallel step that met a leaf, where
+    there is no boundary to check. Every typing walk reports its
+    boundary faults here."""
+    if have is None:
+        return
+    if want is None:
+        if not isinstance(have, Tensor):
+            faults.append(Fault(k, path, f"parallel step needs a tensor, found {have}"))
+    elif have != want:
+        faults.append(Fault(k, path, f"step expects {want}, found {have}"))
+
+
+def _step_faults(step: GlobalStep, have: Config, k: int) -> list[Fault]:
+    """The faults of a step applied to `have`: those of its permutation
+    tables, then its boundary mismatches, each in tree order. One walk
+    with an explicit stack, as in `step_atoms`."""
+    perm_faults: list[Fault] = []
+    boundary_faults: list[Fault] = []
+    stack: list[tuple[GlobalStep, str, Config | None]] = [(step, "", have)]
+    while stack:
+        node, path, have = stack.pop()
+        if isinstance(node, Par):
+            want = None
+            left = right = None
+            if isinstance(have, Tensor):
+                left, right = have.left, have.right
+            stack.append((node.right, path + "R", right))
+            stack.append((node.left, path + "L", left))
+        else:
+            want = _atom_input(node)
+            if isinstance(node, PermStep):
+                perm_faults.extend(Fault(k, path, m) for m in node.perm.faults())
+        check_boundary(boundary_faults, k, path, have, want)
+    return perm_faults + boundary_faults
+
+
+_FAULTS = "_faults"
+
+
+def _keep_faults(d: Diagram, faults: list[Fault]) -> None:
+    """Record the faults of `d`, found by a walk that typechecked every
+    step as `validate` does, so `validate` reads them instead of
+    walking the steps again."""
+    d.__dict__[_FAULTS] = faults
 
 
 def validate(d: Diagram) -> list[Fault]:
     """All typing faults of a diagram, in step order; empty when the
     diagram is well-formed. Checks every permutation table and boundary
-    compatibility between consecutive steps, one walk per step; within
-    a step, table faults come before boundary faults."""
-    faults: list[Fault] = []
-    have = d.initial
-    for k, step in enumerate(d.steps):
-        perm_faults: list[Fault] = []
-        boundary_faults: list[Fault] = []
-        have = _check_step(step, have, k, "", perm_faults, boundary_faults)
-        faults += perm_faults + boundary_faults
-    return faults
+    compatibility between consecutive steps; within a step, table
+    faults come before boundary faults. The list is kept in the
+    instance's own __dict__: a loaded document brings the one its
+    parser found (see `serialize`), any other diagram gets one from a
+    walk on first use. Each call returns a fresh copy."""
+    faults = d.__dict__.get(_FAULTS)
+    if faults is None:
+        faults, have = [], d.initial
+        for k, step in enumerate(d.steps):
+            faults += _step_faults(step, have, k)
+            have = step_output(step)
+        _keep_faults(d, faults)
+    return list(faults)
 
 
 def is_valid(d: Diagram) -> bool:

@@ -25,8 +25,8 @@ to read the happens-before relation back off the diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 from .clocks import Action, Pid
 from .diagram import (
@@ -40,7 +40,6 @@ from .diagram import (
     PermStep,
     Prod,
     StateType,
-    Tensor,
     Tick,
     TickRef,
     par,

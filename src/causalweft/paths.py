@@ -33,7 +33,6 @@ from .diagram import (
     SiteRef,
     Tick,
     TickRef,
-    cut_config,
     cut_configs,
     sites,
     step_atoms,

@@ -18,10 +18,12 @@ step carries only its table; the source configuration comes from the
 step's position in the document and the target is rebuilt from the
 table's value paths, which determine a unique tree shape (an identity
 table's target is its source). Parsing is one walk per step, which
-also yields the configuration the next step applies to. Label values
-of the form {"actor": ..., "target": ...} are read back as Actions,
-whose actor and target must be strings or integers; anything else
-passes through as plain JSON.
+also yields the configuration the next step applies to. Parsing also
+typechecks: the walk checks each step against the configuration it
+applies to, and `validate` on a loaded diagram reads the faults it
+found. Label values of the form {"actor": ..., "target": ...} are read
+back as Actions, whose actor and target must be strings or integers;
+anything else passes through as plain JSON.
 
 Printing is canonical (sorted keys, no whitespace, labels sorted by
 step then path), so parse-then-print is byte-stable and documents can
@@ -32,13 +34,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .clocks import Action
 from .diagram import (
     Atom,
     Config,
     Diagram,
+    Fault,
     Fork,
     GlobalStep,
     Join,
@@ -47,14 +50,15 @@ from .diagram import (
     Perm,
     PermStep,
     Prod,
-    SiteRef,
     StateType,
     Tensor,
     Tick,
     TickRef,
+    _keep_faults,
+    check_boundary,
     site_types,
 )
-from .paths import Event, PathWitness
+from .paths import PathWitness
 
 
 class SchemaError(ValueError):
@@ -179,48 +183,61 @@ def _perm_from_obj(body: Any, context: Config | None) -> PermStep:
     return PermStep(Perm(context, target, tuple(sorted(table.items()))))
 
 
-def _step_from_obj(obj: Any, context: Config | None) -> tuple[GlobalStep, Config]:
-    """Parse a step applied to `context`; return it with its output
-    configuration, read off the same walk."""
+def _step_from_obj(
+    obj: Any, context: Config | None, k: int, path: str, faults: list[Fault]
+) -> tuple[GlobalStep, Config]:
+    """Parse the node at `path` of step k, applied to `context`; return
+    it with its output configuration, read off the same walk, and
+    append to `faults` what `validate` finds at it, in tree order.
+    Those are boundary faults only: a perm parsed here has no table
+    faults, because its keys are the sites of its source (`context`),
+    its values are injective, and its target is rebuilt from the values
+    with the source's types, so `Perm.faults()` is empty."""
     obj = _need(obj, "step")
-    if "tick" in obj:
-        body = obj["tick"]
-        if not isinstance(body, dict) or set(body) != {"in", "out"}:
-            raise SchemaError(f"tick takes in/out types, got {body!r}")
-        tick = Tick(type_from_obj(body["in"]), type_from_obj(body["out"]))
-        return tick, Leaf(tick.out_ty)
-    if "fork" in obj:
-        body = obj["fork"]
-        if not isinstance(body, dict) or set(body) != {"l", "r"}:
-            raise SchemaError(f"fork takes l/r types, got {body!r}")
-        l, r = type_from_obj(body["l"]), type_from_obj(body["r"])
-        return Fork(l, r), Tensor(Leaf(l), Leaf(r))
-    if "join" in obj:
-        body = obj["join"]
-        if not isinstance(body, dict) or set(body) != {"l", "r"}:
-            raise SchemaError(f"join takes l/r types, got {body!r}")
-        l, r = type_from_obj(body["l"]), type_from_obj(body["r"])
-        return Join(l, r), Leaf(Prod(l, r))
-    if "perm" in obj:
-        step = _perm_from_obj(obj["perm"], context)
-        return step, step.perm.target
     if "par" in obj:
         parts = obj["par"]
         if not isinstance(parts, list) or len(parts) != 2:
             raise SchemaError(f"par takes two steps, got {parts!r}")
-        lctx = context.left if isinstance(context, Tensor) else None
-        rctx = context.right if isinstance(context, Tensor) else None
-        left, lout = _step_from_obj(parts[0], lctx)
-        right, rout = _step_from_obj(parts[1], rctx)
+        lctx = rctx = None
+        if isinstance(context, Tensor):
+            lctx, rctx = context.left, context.right
+        else:
+            check_boundary(faults, k, path, context, None)
+        left, lout = _step_from_obj(parts[0], lctx, k, path + "L", faults)
+        right, rout = _step_from_obj(parts[1], rctx, k, path + "R", faults)
         return Par(left, right), Tensor(lout, rout)
-    raise SchemaError(f"unknown step node {obj!r}")
+    if "perm" in obj:
+        step = _perm_from_obj(obj["perm"], context)
+        return step, step.perm.target
+    if "tick" in obj:
+        body = obj["tick"]
+        if not isinstance(body, dict) or set(body) != {"in", "out"}:
+            raise SchemaError(f"tick takes in/out types, got {body!r}")
+        in_ty, out_ty = type_from_obj(body["in"]), type_from_obj(body["out"])
+        step, want, out = Tick(in_ty, out_ty), Leaf(in_ty), Leaf(out_ty)
+    elif "fork" in obj:
+        body = obj["fork"]
+        if not isinstance(body, dict) or set(body) != {"l", "r"}:
+            raise SchemaError(f"fork takes l/r types, got {body!r}")
+        l, r = type_from_obj(body["l"]), type_from_obj(body["r"])
+        step, want, out = Fork(l, r), Leaf(Prod(l, r)), Tensor(Leaf(l), Leaf(r))
+    elif "join" in obj:
+        body = obj["join"]
+        if not isinstance(body, dict) or set(body) != {"l", "r"}:
+            raise SchemaError(f"join takes l/r types, got {body!r}")
+        l, r = type_from_obj(body["l"]), type_from_obj(body["r"])
+        step, want, out = Join(l, r), Tensor(Leaf(l), Leaf(r)), Leaf(Prod(l, r))
+    else:
+        raise SchemaError(f"unknown step node {obj!r}")
+    check_boundary(faults, k, path, context, want)
+    return step, out
 
 
 def step_from_obj(obj: Any, context: Config | None = None) -> GlobalStep:
     """Parse a step. `context` is the configuration the step is applied
     to; it is how a perm learns its source and is threaded into par
     halves."""
-    return _step_from_obj(obj, context)[0]
+    return _step_from_obj(obj, context, 0, "", [])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +297,11 @@ def diagram_from_obj(obj: Any) -> tuple[Diagram, dict[TickRef, Any]]:
     raw_steps = obj["steps"]
     if not isinstance(raw_steps, list):
         raise SchemaError(f"steps must be a list, got {raw_steps!r}")
-    steps = []
+    steps: list[GlobalStep] = []
+    faults: list[Fault] = []
     context = initial
-    for raw in raw_steps:
-        step, context = _step_from_obj(raw, context)
+    for k, raw in enumerate(raw_steps):
+        step, context = _step_from_obj(raw, context, k, "", faults)
         steps.append(step)
     lab: dict[TickRef, Any] = {}
     for entry in obj.get("labels", []):
@@ -295,7 +313,9 @@ def diagram_from_obj(obj: Any) -> tuple[Diagram, dict[TickRef, Any]]:
         if ref in lab:
             raise SchemaError(f"duplicate label for {ref}")
         lab[ref] = label_value_from_obj(entry["value"])
-    return Diagram(initial, tuple(steps)), lab
+    d = Diagram(initial, tuple(steps))
+    _keep_faults(d, faults)
+    return d, lab
 
 
 def to_canonical_json(obj: Any) -> str:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from causalweft import cli
 from causalweft.clocks import Action
 from causalweft.cli import main
 from causalweft.diagram import (
@@ -384,3 +385,15 @@ def test_import_and_validate_take_400_processes(tmp_path, capsys):
 def test_subcommand_is_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    def rebuild():
+        raise AssertionError("main rebuilt the argument parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    assert main(["gen", "--seed", "3"]) == 0
+    first = capsys.readouterr().out
+    assert main(["gen", "--seed", "3", "--max-steps", "2"]) == 0
+    assert main(["gen", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.endswith(first)

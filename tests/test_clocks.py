@@ -39,8 +39,10 @@ from causalweft.diagram import (
     tensor,
     tick_labels,
     ticks,
+    validate,
 )
 from causalweft.paths import Event, events, step_relation
+from causalweft.render import render
 
 A, B = Atom("A"), Atom("B")
 
@@ -271,6 +273,12 @@ def test_a_step_wider_than_the_recursion_limit():
     stamps = timestamp_all(d, lab, c, v)
     assert len(stamps) == 2 * n
     assert all(stamps[Event(1, s)] == out[s] for s in out)
+    assert validate(d) == []
+    assert sites(d.final) == sites(d.initial)
+    dot = render(d, lab, "dot")
+    assert dot.count(" -> ") == n and '[label="p0"]' in dot
+    ascii_text = render(d, lab, "ascii")
+    assert ascii_text.count("tick @ ") == n
 
 
 def test_perm_steps_relocate_timestamps(small_corpus):

@@ -36,6 +36,7 @@ from causalweft.diagram import (
     Tick,
     validate,
 )
+from causalweft.serialize import diagram_from_json, diagram_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXECUTIONS = ("execution-p1", "execution-p4", "execution-p8")
@@ -95,9 +96,15 @@ def faults(d: Diagram) -> list[str]:
     return [str(f) for f in validate(d)]
 
 
+def loaded(d: Diagram) -> Diagram:
+    """The same diagram read back from its document, whose faults the
+    parser finds."""
+    return diagram_from_json(diagram_to_json(d))[0]
+
+
 def test_par_over_a_leaf():
     d = Diagram(Leaf(A), (Par(Tick(A, A), Tick(A, A)), Tick(A, B)))
-    assert faults(d) == [
+    assert faults(d) == faults(loaded(d)) == [
         "step 0 at .: parallel step needs a tensor, found [A]",
         "step 1 at .: step expects [A], found ([A] * [A])",
     ]
@@ -126,7 +133,7 @@ def test_tick_with_the_wrong_input_type():
         Tensor(Leaf(A), Leaf(Prod(A, B))),
         (Par(Tick(A, A), Tick(B, A)), Par(Tick(A, B), Tick(A, A)), Tick(B, B)),
     )
-    assert faults(d) == [
+    assert faults(d) == faults(loaded(d)) == [
         "step 0 at R: step expects [B], found [(A x B)]",
         "step 2 at .: step expects [B], found ([B] * [A])",
     ]

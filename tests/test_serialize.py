@@ -1,6 +1,8 @@
 import json
+import random
 
 import pytest
+from conftest import corpus_params
 
 from causalweft.clocks import Action
 from causalweft.diagram import (
@@ -13,8 +15,10 @@ from causalweft.diagram import (
     Tick,
     TickRef,
     perm_swap,
+    validate,
 )
 from causalweft.paths import PathWitness
+from causalweft.verify import gen_diagram
 from causalweft.serialize import (
     SchemaError,
     config_from_obj,
@@ -104,6 +108,54 @@ def test_diagram_hash_is_stable_and_discriminating(message_flow, diamond):
 
 # ---------------------------------------------------------------------------
 # perm steps read their source from context
+
+def _nodes(obj, key: str) -> list[dict]:
+    """Every one-key `{key: ...}` object inside a JSON value, in order."""
+    out, stack = [], [obj]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            if key in node:
+                out.append(node)
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    return out
+
+
+def _mutate(doc: dict, rng: random.Random) -> None:
+    """Flip one to three atom names, or swap the halves of one par."""
+    pars = _nodes(doc["steps"], "par")
+    if pars and rng.random() < 0.3:
+        node = rng.choice(pars)
+        node["par"].reverse()
+        return
+    atoms = _nodes([doc["initial"], doc["steps"]], "atom")
+    for node in rng.sample(atoms, min(len(atoms), rng.randint(1, 3))):
+        node["atom"] = node["atom"] + "'"
+
+
+def test_the_parser_finds_the_faults_validate_finds():
+    # validate on a fresh Diagram of the same steps walks them itself
+    rng = random.Random(5)
+    parsed = ill_typed = 0
+    seed = 0
+    while parsed < 2000:
+        d0, lab0 = gen_diagram(corpus_params(seed))
+        doc = diagram_to_obj(d0, lab0)
+        if seed % 2:
+            _mutate(doc, rng)
+        seed += 1
+        try:
+            d, _ = diagram_from_obj(doc)
+        except SchemaError:
+            continue  # a swapped par moved a perm off its sites
+        parsed += 1
+        faults = validate(d)
+        assert faults == validate(Diagram(d.initial, d.steps))
+        ill_typed += bool(faults)
+    assert ill_typed >= 500
+
 
 def test_perm_round_trip_rebuilds_source_and_target(message_flow):
     d, lab = message_flow
