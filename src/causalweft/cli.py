@@ -29,6 +29,7 @@ from .serialize import (
     diagram_from_json,
     diagram_to_json,
     diagram_to_obj,
+    nesting_guard,
     to_canonical_json,
     witness_to_obj,
 )
@@ -97,10 +98,12 @@ def _parse_event(text: str, d: Diagram) -> Event:
 def _load_valuation(path: str | None, clock, d: Diagram):
     if path is None:
         return zero_valuation(clock, d.initial)
-    try:
-        obj = json.loads(_read(path))
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"valuation file is not JSON: {e}") from None
+    text = _read(path)
+    with nesting_guard():
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"valuation file is not JSON: {e}") from None
     if not isinstance(obj, dict):
         raise SchemaError(f"valuation must be a site-to-timestamp object")
     out = {}

@@ -51,6 +51,12 @@ class Clock:
     `leq` only has to be a preorder: reflexive and transitive.
     `zero` builds the timestamp sites start from, and `sample` draws
     arbitrary timestamps for law testing.
+
+    `verify.check_clock_condition` leans on transitivity: it tests
+    `leq` on each stamp and on each step edge, and a chain of edges
+    joins every ordered event pair. A clock whose `leq` is not
+    transitive can pass every edge and still fail a pair; run
+    `verify.check_clock_laws` on a new clock before trusting it.
     """
 
     name: str

@@ -463,13 +463,17 @@ def check_boundary(
     atomic action; None stands for a parallel step, which needs a
     tensor. `have` is None below a parallel step that met a leaf, where
     there is no boundary to check. Every typing walk reports its
-    boundary faults here."""
+    boundary faults here. A leaf compares with == directly; a tensor
+    by its site table, which fixes the tree, so a wide one does not
+    recurse."""
     if have is None:
         return
     if want is None:
         if not isinstance(have, Tensor):
             faults.append(Fault(k, path, f"parallel step needs a tensor, found {have}"))
-    elif have != want:
+    elif have is not want and (
+        have != want if isinstance(want, Leaf) else site_types(have) != site_types(want)
+    ):
         faults.append(Fault(k, path, f"step expects {want}, found {have}"))
 
 

@@ -49,7 +49,12 @@ from .diagram import (
     tensor,
 )
 from .paths import action_order
-from .serialize import SchemaError, label_value_from_obj, label_value_to_obj
+from .serialize import (
+    SchemaError,
+    label_value_from_obj,
+    label_value_to_obj,
+    nesting_guard,
+)
 from .verify import warshall
 
 ActionId = str
@@ -378,10 +383,11 @@ def execution_from_obj(obj: Any) -> Execution:
 def execution_from_json(text: str) -> Execution:
     import json
 
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"not JSON: {e}") from None
+    with nesting_guard():
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"not JSON: {e}") from None
     return execution_from_obj(obj)
 
 

@@ -112,19 +112,36 @@ class _Tables:
 
     @cached_property
     def future(self) -> tuple[int, ...]:
-        """Closure rows: bit j of row i is set iff event i can
-        influence event j. One sweep from the last cut back to cut 0."""
-        rows = [0] * sum(len(numbers) for numbers in self.numbers)
-        for i in self.numbers[-1].values():
-            rows[i] = 1 << i
-        for t in range(len(self.adj) - 1, -1, -1):
-            adj, nxt = self.adj[t], self.numbers[t + 1]
-            for s, i in self.numbers[t].items():
-                row = 1 << i
-                for b in adj.get(s, ()):
-                    row |= rows[nxt[b]]
-                rows[i] = row
-        return tuple(rows)
+        return _closure(self.numbers, self.adj)
+
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Per event number, the numbers of its one-step successors in
+        site order; events at the last cut have none."""
+        succ: list[tuple[int, ...]] = [()] * sum(len(here) for here in self.numbers)
+        for adj, here, nxt in zip(self.adj, self.numbers, self.numbers[1:]):
+            for s, bs in adj.items():
+                succ[here[s]] = tuple(nxt[b] for b in bs)
+        return tuple(succ)
+
+
+def _closure(
+    numbers: tuple[Mapping[SiteRef, int], ...],
+    adj: tuple[Mapping[SiteRef, tuple[SiteRef, ...]], ...],
+) -> tuple[int, ...]:
+    """Closure rows: bit j of row i is set iff event i can influence
+    event j. One sweep from the last cut back to cut 0."""
+    rows = [0] * sum(len(here) for here in numbers)
+    for i in numbers[-1].values():
+        rows[i] = 1 << i
+    for t in range(len(adj) - 1, -1, -1):
+        succ, nxt = adj[t], numbers[t + 1]
+        for s, i in numbers[t].items():
+            row = 1 << i
+            for b in succ.get(s, ()):
+                row |= rows[nxt[b]]
+            rows[i] = row
+    return tuple(rows)
 
 
 _TABLES = "_paths_tables"
@@ -155,6 +172,21 @@ def future_rows(d: Diagram) -> tuple[int, ...]:
     set iff event i can influence event j, with events numbered as
     `events(d)` lists them (by cut, then site)."""
     return _tables(d).future
+
+
+def step_successors(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    """The step edges of a diagram: for each event, numbered as
+    `events(d)` lists them, the events one step later that it feeds
+    directly. Every ordered pair of events is joined by a chain of
+    these edges."""
+    return _tables(d).successors
+
+
+def closure_rebuilt(d: Diagram) -> tuple[int, ...]:
+    """The closure rows built again from the step adjacency by the
+    sweep that builds `future_rows`, without reading the kept rows."""
+    tables = _tables(d)
+    return _closure(tables.numbers, tables.adj)
 
 
 def set_bits(row: int) -> Iterator[int]:

@@ -28,13 +28,19 @@ anything else passes through as plain JSON.
 Printing is canonical (sorted keys, no whitespace, labels sorted by
 step then path), so parse-then-print is byte-stable and documents can
 be hashed.
+
+The stdlib `json` module and the tree walks here recurse once per
+level of nesting, so a document nested deeper than the recursion limit
+(about 1000 levels; a configuration or type adds two per node) is
+rejected with a SchemaError, not a RecursionError (`nesting_guard`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping
+from contextlib import contextmanager
+from typing import Any, Iterator, Mapping
 
 from .clocks import Action
 from .diagram import (
@@ -63,6 +69,17 @@ from .paths import PathWitness
 
 class SchemaError(ValueError):
     """The JSON does not describe a diagram."""
+
+
+@contextmanager
+def nesting_guard() -> Iterator[None]:
+    """Read or write one JSON document: a RecursionError inside becomes
+    a SchemaError. Used only where documents cross the JSON boundary,
+    so a recursion bug elsewhere still surfaces as itself."""
+    try:
+        yield
+    except RecursionError:
+        raise SchemaError("document nests too deeply") from None
 
 
 def _need(obj: Any, kind: str) -> dict:
@@ -324,15 +341,17 @@ def to_canonical_json(obj: Any) -> str:
 
 def diagram_to_json(d: Diagram, lab: Mapping[TickRef, Any] | None = None) -> str:
     """Canonical one-line document; parse-then-print reproduces it."""
-    return to_canonical_json(diagram_to_obj(d, lab))
+    with nesting_guard():
+        return to_canonical_json(diagram_to_obj(d, lab))
 
 
 def diagram_from_json(text: str) -> tuple[Diagram, dict[TickRef, Any]]:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"not JSON: {e}") from None
-    return diagram_from_obj(obj)
+    with nesting_guard():
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"not JSON: {e}") from None
+        return diagram_from_obj(obj)
 
 
 def diagram_hash(d: Diagram, lab: Mapping[TickRef, Any] | None = None) -> str:

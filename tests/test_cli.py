@@ -99,6 +99,33 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def deeply_nested(n):
+    """A valid diagram document whose initial configuration nests n
+    tensors, each two JSON levels deep."""
+    leaf = '{"leaf":{"atom":"A"}}'
+    initial = '{"tensor":[' * n + leaf + ("," + leaf + "]}") * n
+    return '{"initial":' + initial + ',"steps":[],"labels":[]}'
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["check-clock", "--clock", "vector"]])
+def test_a_document_nested_too_deeply_is_an_input_error(tmp_path, capsys, argv):
+    path = write(tmp_path, "deep.json", deeply_nested(1500))
+    assert main([argv[0], path, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: document nests too deeply\n"
+
+
+def test_deep_valuation_and_execution_files_are_input_errors(tmp_path, flow_file, capsys):
+    deep = "[" * 5000 + "]" * 5000
+    valuation = write(tmp_path, "val.json", '{"L":' + deep + "}")
+    argv = ["timestamps", flow_file, "--clock", "vector", "--valuation", valuation]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: document nests too deeply\n"
+    execution = write(tmp_path, "x.json", '{"processes":' + deep + "}")
+    assert main(["import-execution", execution]) == 2
+    assert capsys.readouterr().err == "error: document nests too deeply\n"
+
+
 # ---------------------------------------------------------------------------
 # render
 

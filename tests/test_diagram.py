@@ -277,6 +277,20 @@ def test_par_fault_is_localized():
     assert (faults[0].step, faults[0].path) == (0, "R")
 
 
+def test_boundary_check_takes_equal_but_distinct_wide_configurations():
+    # the boundary is compared by site tables, not by recursive ==
+    wide = tensor([Leaf(A)] * 3000)
+    assert validate(Diagram(wide, (noop(tensor([Leaf(A)] * 3000)),))) == []
+    other = tensor([Leaf(A)] * 2999 + [Leaf(B)])
+    [fault] = validate(Diagram(wide, (noop(other),)))
+    assert (fault.step, fault.path) == (0, "")
+    assert fault.message == f"step expects {other}, found {wide}"
+    # same leaves, other shape
+    three, other = tensor([Leaf(A)] * 3), Tensor(Leaf(A), Tensor(Leaf(A), Leaf(A)))
+    [fault] = validate(Diagram(three, (noop(other),)))
+    assert fault.message == f"step expects {other}, found {three}"
+
+
 def test_bad_perm_reported_with_path():
     cfg = Tensor(Leaf(A), Leaf(A))
     crooked = Perm(cfg, cfg, (("L", "L"), ("R", "L")))

@@ -15,6 +15,7 @@ from causalweft.diagram import (
     Tick,
     TickRef,
     perm_swap,
+    tensor,
     validate,
 )
 from causalweft.paths import PathWitness
@@ -215,6 +216,15 @@ def test_perm_sites_must_be_lr_strings():
 def test_not_json_is_a_schema_error():
     with pytest.raises(SchemaError, match="not JSON"):
         diagram_from_json("{nope")
+
+
+def test_nesting_past_the_recursion_limit_is_a_schema_error():
+    text = diagram_to_json(Diagram(tensor([Leaf(A)] * 300), ()))
+    assert diagram_to_json(*diagram_from_json(text)) == text
+    with pytest.raises(SchemaError, match="^document nests too deeply$"):
+        diagram_to_json(Diagram(tensor([Leaf(A)] * 3000), ()))
+    with pytest.raises(SchemaError, match="^document nests too deeply$"):
+        diagram_from_json('{"initial":' + '{"tensor":[' * 3000)
 
 
 def test_missing_fields_are_rejected():
