@@ -7,14 +7,14 @@ relation. Trajectories double as checkable witnesses, and causal
 order is their existence.
 
 Every order query reads one table of closure rows. Events are numbered
-by (cut, site), which is their sort order, and row i is the bitmask of
-the events event i can influence, itself included. The rows come from
-one backward sweep over the cuts: a diagram is layered, so reverse cut
-order is a topological order, and each row is the event's own bit or-ed
-with the rows of its one-step successors (cf. Purdom 1970, "A transitive
-closure algorithm"). The tables live on the diagram instance and are
-freed with it. The rows are built by the first order query, so
-validating, rendering and timestamping never pay for them.
+by (cut, site), their sort order, and row i is the bitmask of the
+events event i can influence, itself included. One walk of each step's
+atoms numbers the events and lists each one's one-step successors,
+which all carry higher numbers; the rows come from one sweep down the
+numbers, each the event's own bit or-ed with its successors' rows (cf.
+Purdom 1970, "A transitive closure algorithm"). The tables live on the
+diagram instance and are freed with it. The rows are built by the
+first order query, so validating, rendering and timestamping never pay.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from .diagram import (
     SiteRef,
     Tick,
     TickRef,
-    cut_configs,
-    sites,
+    site_types,
     step_atoms,
     tick_at,
 )
@@ -107,40 +106,23 @@ def step_relation(step: GlobalStep) -> set[tuple[SiteRef, SiteRef]]:
 class _Tables:
     # per cut: site -> event number, in site order
     numbers: tuple[Mapping[SiteRef, int], ...]
-    # adjacency per step: input site -> sorted output sites
-    adj: tuple[Mapping[SiteRef, tuple[SiteRef, ...]], ...]
+    # per event number: the numbers of its one-step successors, ascending
+    successors: tuple[tuple[int, ...], ...]
 
     @cached_property
     def future(self) -> tuple[int, ...]:
-        return _closure(self.numbers, self.adj)
-
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Per event number, the numbers of its one-step successors in
-        site order; events at the last cut have none."""
-        succ: list[tuple[int, ...]] = [()] * sum(len(here) for here in self.numbers)
-        for adj, here, nxt in zip(self.adj, self.numbers, self.numbers[1:]):
-            for s, bs in adj.items():
-                succ[here[s]] = tuple(nxt[b] for b in bs)
-        return tuple(succ)
+        return _closure(self.successors)
 
 
-def _closure(
-    numbers: tuple[Mapping[SiteRef, int], ...],
-    adj: tuple[Mapping[SiteRef, tuple[SiteRef, ...]], ...],
-) -> tuple[int, ...]:
+def _closure(successors: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Closure rows: bit j of row i is set iff event i can influence
-    event j. One sweep from the last cut back to cut 0."""
-    rows = [0] * sum(len(here) for here in numbers)
-    for i in numbers[-1].values():
-        rows[i] = 1 << i
-    for t in range(len(adj) - 1, -1, -1):
-        succ, nxt = adj[t], numbers[t + 1]
-        for s, i in numbers[t].items():
-            row = 1 << i
-            for b in succ.get(s, ()):
-                row |= rows[nxt[b]]
-            rows[i] = row
+    event j. One sweep down the numbers; successors carry higher ones."""
+    rows = [0] * len(successors)
+    for i in range(len(successors) - 1, -1, -1):
+        row = 1 << i
+        for j in successors[i]:
+            row |= rows[j]
+        rows[i] = row
     return tuple(rows)
 
 
@@ -148,23 +130,46 @@ _TABLES = "_paths_tables"
 
 
 def _tables(d: Diagram) -> _Tables:
-    """The derived tables of `d`, built on first use and kept in the
-    instance's own __dict__, so they are freed with the diagram."""
+    """The derived tables of `d`, built on first use by one walk of each
+    step's atoms and kept in the instance's own __dict__, so they are
+    freed with the diagram. Raises ValueError if a step reads a site
+    its cut lacks, or takes one nowhere in the next cut."""
     tables = d.__dict__.get(_TABLES)
-    if tables is None:
-        numbers, n = [], 0
-        for cfg in cut_configs(d):
-            row = sites(cfg)
-            numbers.append(dict(zip(row, range(n, n + len(row)))))
-            n += len(row)
-        adj = []
-        for step in d.steps:
-            fwd: dict[SiteRef, list[SiteRef]] = {}
-            for a, b in sorted(step_relation(step)):
-                fwd.setdefault(a, []).append(b)
-            adj.append({a: tuple(bs) for a, bs in fwd.items()})
-        tables = d.__dict__[_TABLES] = _Tables(tuple(numbers), tuple(adj))
-    return tables
+    if tables is not None:
+        return tables
+    here = {s: i for i, s in enumerate(site_types(d.initial))}
+    numbers, successors, n = [here], [], len(here)
+    try:
+        for k, step in enumerate(d.steps):
+            # atoms come left to right with prefix-free paths, so the
+            # output sites come, and are numbered, in site order
+            base, nxt, out = n - len(here), {}, [None] * len(here)
+            for p, atom in step_atoms(step):
+                j = n + len(nxt)  # the number of the atom's first output
+                match atom:
+                    case Tick():
+                        out[here[p] - base], nxt[p] = (j,), j
+                    case Fork():
+                        out[here[p] - base] = (j, j + 1)
+                        nxt[p + "L"], nxt[p + "R"] = j, j + 1
+                    case Join():
+                        out[here[p + "L"] - base] = out[here[p + "R"] - base] = (j,)
+                        nxt[p] = j
+                    case PermStep(perm):
+                        for b in site_types(perm.target):
+                            nxt[p + b] = n + len(nxt)
+                        for a, b in perm.pairs:
+                            out[here[p + a] - base] = (nxt.get(p + b),)
+            if None in out or (None,) in out:  # unread, or sent off the tree
+                s = next(s for s in here if out[here[s] - base] in (None, (None,)))
+                raise ValueError(f"step {k} takes site {s!r} of cut {k} nowhere")
+            successors += out
+            numbers.append(nxt)
+            here, n = nxt, n + len(nxt)
+    except KeyError as missing:
+        raise ValueError(f"step {k} reads site {missing}, missing at cut {k}") from None
+    successors += [()] * len(here)
+    return d.__dict__.setdefault(_TABLES, _Tables(tuple(numbers), tuple(successors)))
 
 
 def future_rows(d: Diagram) -> tuple[int, ...]:
@@ -183,10 +188,9 @@ def step_successors(d: Diagram) -> tuple[tuple[int, ...], ...]:
 
 
 def closure_rebuilt(d: Diagram) -> tuple[int, ...]:
-    """The closure rows built again from the step adjacency by the
-    sweep that builds `future_rows`, without reading the kept rows."""
-    tables = _tables(d)
-    return _closure(tables.numbers, tables.adj)
+    """The closure rows built again from the step edges by the sweep
+    that builds `future_rows`, without reading the kept rows."""
+    return _closure(_tables(d).successors)
 
 
 def set_bits(row: int) -> Iterator[int]:
@@ -234,14 +238,11 @@ def witness_valid(d: Diagram, w: PathWitness) -> bool:
     if not 0 <= w.start or w.end > d.n_steps:
         return False
     tables = _tables(d)
-    for i, s in enumerate(w.trajectory):
-        if s not in tables.numbers[w.start + i]:
-            return False
-    for i in range(len(w.trajectory) - 1):
-        nxt = tables.adj[w.start + i].get(w.trajectory[i], ())
-        if w.trajectory[i + 1] not in nxt:
-            return False
-    return True
+    try:
+        hops = [tables.numbers[w.start + i][s] for i, s in enumerate(w.trajectory)]
+    except KeyError:
+        return False
+    return all(j in tables.successors[i] for i, j in zip(hops, hops[1:]))
 
 
 def compose_witness(a: PathWitness, b: PathWitness) -> PathWitness:
@@ -280,16 +281,17 @@ def span_reachable(d: Diagram, s1: SiteRef, s2: SiteRef) -> bool:
 def span_count(d: Diagram, s1: SiteRef, s2: SiteRef) -> int:
     """How many distinct trajectories cross from s1 to s2. Exact; the
     count can grow exponentially in the number of steps."""
-    _require_site(d, 0, s1, "source site")
-    _require_site(d, d.n_steps, s2, "target site")
-    counts: dict[SiteRef, int] = {s1: 1}
-    for adj in _tables(d).adj:
-        nxt: dict[SiteRef, int] = {}
+    i = _require_site(d, 0, s1, "source site")
+    j = _require_site(d, d.n_steps, s2, "target site")
+    successors = _tables(d).successors
+    counts = {i: 1}
+    for _ in range(d.n_steps):
+        nxt: dict[int, int] = {}
         for a, c in counts.items():
-            for b in adj.get(a, ()):
+            for b in successors[a]:
                 nxt[b] = nxt.get(b, 0) + c
         counts = nxt
-    return counts.get(s2, 0)
+    return counts.get(j, 0)
 
 
 def _enumerate(
@@ -298,30 +300,29 @@ def _enumerate(
     """All trajectories from (t1, s1) to (t2, s2), lexicographic by
     trajectory. Lazy; prunes branches whose closure row misses s2."""
     tables = _tables(d)
-    adj, numbers, future = tables.adj, tables.numbers, tables.future
-    target = 1 << numbers[t2][s2]
-    if not future[numbers[t1][s1]] & target:
+    successors, future = tables.successors, tables.future
+    i, target = tables.numbers[t1][s1], 1 << tables.numbers[t2][s2]
+    if not future[i] & target:
         return
+    names = {j: s for here in tables.numbers[t1 : t2 + 1] for s, j in here.items()}
 
     # Depth-first with an explicit stack, so a long span is not bounded
-    # by the recursion limit. prefix[i] is the site at cut t1 + i and
-    # stack[i] iterates, in site order, over its successors not yet tried.
-    prefix = [s1]
-    stack = [iter(adj[t1].get(s1, ()))] if t1 < t2 else []
+    # by the recursion limit. prefix[k] is the event at cut t1 + k and
+    # stack[k] iterates, in site order, over its successors not yet tried.
+    prefix = [i]
+    stack = [iter(successors[i])] if t1 < t2 else []
     if not stack:
         yield PathWitness(t1, (s1,))
     while stack:
-        k = t1 + len(stack)
-        nxt = numbers[k]
-        b = next((b for b in stack[-1] if future[nxt[b]] & target), None)
+        b = next((b for b in stack[-1] if future[b] & target), None)
         if b is None:
             stack.pop()
             prefix.pop()
-        elif k == t2:
-            yield PathWitness(t1, (*prefix, b))
+        elif t1 + len(stack) == t2:
+            yield PathWitness(t1, tuple(names[k] for k in (*prefix, b)))
         else:
             prefix.append(b)
-            stack.append(iter(adj[k].get(b, ())))
+            stack.append(iter(successors[b]))
 
 
 def span_enumerate(d: Diagram, s1: SiteRef, s2: SiteRef) -> Iterator[PathWitness]:

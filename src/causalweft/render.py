@@ -8,6 +8,7 @@ each cut as a rule of site columns with the step's actions between.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterator, Mapping
 
 from .clocks import Action
@@ -21,18 +22,13 @@ from .diagram import (
     TickRef,
     cut_configs,
     site_types,
-    sites,
     step_atoms,
 )
-from .paths import step_relation
+from .paths import events, step_successors
 
 
 def _q(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _node(cut: int, site: str) -> str:
-    return f"{cut}:{site if site else '.'}"
 
 
 def _action_text(value) -> str:
@@ -44,8 +40,8 @@ def _action_text(value) -> str:
 
 
 def to_dot(d: Diagram, lab: Mapping[TickRef, Action] | None = None) -> str:
-    """Graphviz source for the event graph. The edge set is exactly the
-    union of the per-step relations; tick edges carry their label."""
+    """Graphviz source for the event graph: one node per event, one edge
+    per step edge (`step_successors`); tick edges carry their label."""
     tick_edges = {}
     if lab:
         for ref, value in lab.items():
@@ -55,13 +51,14 @@ def to_dot(d: Diagram, lab: Mapping[TickRef, Action] | None = None) -> str:
         "  rankdir=TB;",
         "  node [shape=box, fontsize=10];",
     ]
-    for t, cfg in enumerate(cut_configs(d)):
-        row = " ".join(_q(_node(t, s)) + ";" for s in sites(cfg))
-        lines.append("  { rank=same; " + row + " }")
-    for k, step in enumerate(d.steps):
-        for a, b in sorted(step_relation(step)):
-            edge = f"  {_q(_node(k, a))} -> {_q(_node(k + 1, b))}"
-            label = tick_edges.get((k, a, b))
+    evs = events(d)
+    names = [_q(str(e)) for e in evs]
+    for _, rank in groupby(range(len(evs)), lambda i: evs[i].cut):
+        lines.append("  { rank=same; " + " ".join(names[i] + ";" for i in rank) + " }")
+    for i, (e, succ) in enumerate(zip(evs, step_successors(d))):
+        for j in succ:
+            edge = f"  {names[i]} -> {names[j]}"
+            label = tick_edges.get((e.cut, e.site, evs[j].site))
             if label is not None:
                 edge += f" [label={_q(label)}]"
             lines.append(edge + ";")

@@ -320,8 +320,11 @@ def diagram_from_obj(obj: Any) -> tuple[Diagram, dict[TickRef, Any]]:
     for k, raw in enumerate(raw_steps):
         step, context = _step_from_obj(raw, context, k, "", faults)
         steps.append(step)
+    raw_labels = obj.get("labels", [])
+    if not isinstance(raw_labels, list):
+        raise SchemaError(f"labels must be a list, got {raw_labels!r}")
     lab: dict[TickRef, Any] = {}
-    for entry in obj.get("labels", []):
+    for entry in raw_labels:
         if not isinstance(entry, dict) or not {"step", "path", "value"} <= set(entry):
             raise SchemaError(f"bad label entry {entry!r}")
         if not isinstance(entry["step"], int) or not _site_ok(entry["path"]):

@@ -94,6 +94,15 @@ def test_validate_rejects_malformed_json(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels", ["null", "0", '{"step":0}'])
+def test_labels_that_are_not_a_list_are_an_input_error(tmp_path, capsys, labels):
+    doc = '{"initial":{"leaf":{"atom":"A"}},"steps":[],"labels":' + labels + "}"
+    path = write(tmp_path, "labels.json", doc)
+    assert main(["validate", path]) == 2
+    got = json.loads(labels)
+    assert capsys.readouterr().err == f"error: labels must be a list, got {got!r}\n"
+
+
 def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
     assert "error:" in capsys.readouterr().err

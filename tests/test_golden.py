@@ -4,10 +4,13 @@
 command `record` runs, taken before the one-pass rewrite of parsing,
 validation and stamp printing: import-execution on three executions (1,
 4 and 8 processes); validate, render and timestamps in every format and
-clock on each imported diagram and on one `gen_diagram` document; and
-the JSON reports of both checkers on that document. A change that
-leaves the output alone must leave every sum as it is. After a
-deliberate change of output, record the sums again with
+clock on each imported diagram and on one `gen_diagram` document; the
+JSON reports of both checkers on that document; and `paths` between
+event pairs of that document that have witnesses, as text and JSON,
+with and without `--limit` (recorded later, before the paths tables
+were rebuilt from one walk of each step's atoms). A change that leaves
+the output alone must leave every sum as it is. After a deliberate
+change of output, record the sums again with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/sums.json
 
@@ -48,6 +51,8 @@ DOCUMENT_COMMANDS = (
     ("render", "--format", "ascii"),
     *(("timestamps", "--clock", c, *j) for c in CLOCKS for j in ((), ("--json",))),
 )
+# event pairs of the gen_diagram document with one or two witnesses
+PATH_PAIRS = (("0:L", "N:R"), ("0:R", "end:L"), ("8:L", "16:R"), ("2:L", "9:."))
 
 A, B = Atom("A"), Atom("B")
 
@@ -81,6 +86,10 @@ def record(scratch: Path) -> dict[str, str]:
     for c in CLOCKS:
         run(f"check-clock diagram --clock {c} --json", ["check-clock", path, "--clock", c, "--json"])
     run("check-order diagram --json", ["check-order", path, "--json"])
+    for src, dst in PATH_PAIRS:
+        for opts in ((), ("--json",), ("--limit", "1"), ("--limit", "1", "--json")):
+            argv = ["paths", path, "--from", src, "--to", dst, *opts]
+            run(" ".join(["paths diagram", *argv[2:]]), argv)
     return sums
 
 

@@ -1,12 +1,14 @@
-"""Every name a library module imports is used in that module.
+"""Every name a module imports is used in that module.
 
-`__init__.py` is left out: its imports are the package's exports.
+Library modules, tests and demos are scanned. `__init__.py` is left
+out: its imports are the package's exports.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "causalweft"
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("src/causalweft/*.py", "tests/*.py", "demos/*.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,10 +33,12 @@ def test_the_scan_sees_an_unused_import():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
+    modules = sorted(
+        p for pattern in SCANNED for p in ROOT.glob(pattern) if p.name != "__init__.py"
+    )
+    assert {p.parent.name for p in modules} == {"causalweft", "tests", "demos"}
     found = {
-        p.name: unused
+        str(p.relative_to(ROOT)): unused
         for p in modules
         if (unused := unused_imports(p.read_text(encoding="utf-8")))
     }

@@ -10,6 +10,7 @@ from causalweft.diagram import (
     Join,
     Leaf,
     Par,
+    Perm,
     PermStep,
     Prod,
     Tensor,
@@ -34,9 +35,13 @@ from causalweft.paths import (
     span_enumerate,
     span_reachable,
     step_relation,
+    step_successors,
     tick_events,
     witness_valid,
 )
+
+from causalweft.render import to_dot
+from causalweft.verify import check_order_laws
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -61,6 +66,27 @@ def test_check_event_rejects_bad_coordinates(message_flow):
         check_event(d, Event(4, "L"))
     with pytest.raises(ValueError):
         check_event(d, Event(0, "LL"))
+
+
+def test_an_ill_typed_diagram_gets_no_order():
+    # the join reads L and R, but cut 0 holds only the root site
+    d = Diagram(Leaf(A), (Join(A, A),))
+    queries = (
+        lambda: check_order_laws(d),
+        lambda: causally_ordered(d, Event(0, ""), Event(1, "")),
+        lambda: step_successors(d),
+        lambda: to_dot(d),
+    )
+    missing = "^step 0 reads site 'L', missing at cut 0$"
+    for query in queries:
+        with pytest.raises(ValueError, match=missing):
+            query()
+    # perms built directly: one leaves R unread, one sends it off the tree
+    pair = Tensor(Leaf(A), Leaf(A))
+    for pairs in ((("L", "L"),), (("L", "L"), ("R", "RR"))):
+        d = Diagram(pair, (noop(pair), PermStep(Perm(pair, pair, pairs))))
+        with pytest.raises(ValueError, match="^step 1 takes site 'R' of cut 1 nowhere"):
+            events(d)
 
 
 def test_event_str():

@@ -14,7 +14,6 @@ from causalweft.diagram import (
     Tensor,
     Tick,
     TickRef,
-    perm_swap,
     tensor,
     validate,
 )

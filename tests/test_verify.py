@@ -5,7 +5,6 @@ import pytest
 
 from causalweft.clocks import (
     CLOCK_NAMES,
-    Action,
     by_name,
     scalar_clock,
     timestamp_all,
@@ -30,7 +29,6 @@ from causalweft.diagram import (
     n_sites,
     perm_swap,
     sites,
-    ticks,
     validate,
 )
 from causalweft.paths import (
