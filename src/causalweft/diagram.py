@@ -318,29 +318,32 @@ def noop(config: Config) -> PermStep:
     return PermStep(perm_id(config))
 
 
+# The loader calls these on every atom it reads, so the class patterns
+# take no positional subpatterns, each of which costs a __match_args__
+# lookup.
 def _atom_input(atom: AtomicStep) -> Config:
     match atom:
-        case Tick(in_ty, _):
-            return Leaf(in_ty)
-        case Fork(l, r):
-            return Leaf(Prod(l, r))
-        case Join(l, r):
-            return Tensor(Leaf(l), Leaf(r))
-        case PermStep(perm):
-            return perm.source
+        case Tick():
+            return Leaf(atom.in_ty)
+        case Fork():
+            return Leaf(Prod(atom.left_ty, atom.right_ty))
+        case Join():
+            return Tensor(Leaf(atom.left_ty), Leaf(atom.right_ty))
+        case PermStep():
+            return atom.perm.source
     raise TypeError(f"not a step: {atom!r}")
 
 
 def _atom_output(atom: AtomicStep) -> Config:
     match atom:
-        case Tick(_, out_ty):
-            return Leaf(out_ty)
-        case Fork(l, r):
-            return Tensor(Leaf(l), Leaf(r))
-        case Join(l, r):
-            return Leaf(Prod(l, r))
-        case PermStep(perm):
-            return perm.target
+        case Tick():
+            return Leaf(atom.out_ty)
+        case Fork():
+            return Tensor(Leaf(atom.left_ty), Leaf(atom.right_ty))
+        case Join():
+            return Leaf(Prod(atom.left_ty, atom.right_ty))
+        case PermStep():
+            return atom.perm.target
     raise TypeError(f"not a step: {atom!r}")
 
 

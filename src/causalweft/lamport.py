@@ -9,7 +9,9 @@ whose closure has a cycle are rejected.
 action's layer is one more than the deepest of its direct
 predecessors, so every layer holds at most one action per process.
 Between layers the configuration carries one site per process plus one
-site per message in flight. A layer becomes at most four global steps:
+site per message in flight, held as a list of groups that each keep
+their configuration and idle noop until a step acts on them. A layer
+becomes at most four global steps:
 
     perm    route each message consumed this layer next to its
             receiver (receiver left, message right) and flush newly
@@ -26,11 +28,13 @@ to read the happens-before relation back off the diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping
 
 from .clocks import Action, Pid
 from .diagram import (
     Atom,
+    AtomicStep,
     Config,
     Diagram,
     Fork,
@@ -39,6 +43,7 @@ from .diagram import (
     Leaf,
     PermStep,
     Prod,
+    SiteRef,
     StateType,
     Tick,
     TickRef,
@@ -156,12 +161,41 @@ def hb_closure(x: Execution) -> frozenset[tuple[ActionId, ActionId]]:
 _Slot = tuple[str, Any]
 
 
-def _proc_type(p: Pid) -> StateType:
-    return Atom(str(p))
+def _msg_part(m: tuple[ActionId, ActionId]) -> tuple[_Slot, StateType]:
+    return ("msg", m), Atom(f"{m[0]}>{m[1]}")
 
 
-def _msg_type(m: tuple[ActionId, ActionId]) -> StateType:
-    return Atom(f"{m[0]}>{m[1]}")
+class _Group(tuple[tuple[_Slot, StateType], ...]):
+    """The (slot, type) parts of slots that steps take as one: a receiver
+    and its message from the perm to the join, a sender and its message
+    after the fork, else one slot. Its configuration, and the noop that
+    holds it idle, are built once, on first use."""
+
+    @cached_property
+    def config(self) -> Config:
+        return tensor([Leaf(ty) for _, ty in self])
+
+    @cached_property
+    def hold(self) -> PermStep:
+        return noop(self.config)
+
+
+def _cut(groups: list[_Group]) -> tuple[Config, dict[_Slot, SiteRef]]:
+    """The configuration of a layout and the site of each of its slots."""
+    config = tensor([g.config for g in groups])
+    slots = (slot for g in groups for slot, _ in g)
+    return config, dict(zip(slots, sites(config)))
+
+
+def _step(
+    groups: list[_Group], acts: Mapping[int, tuple[AtomicStep, _Group]]
+) -> GlobalStep:
+    """Each acting group's atom beside the noop that holds every other
+    group; an acting group becomes the group its atom outputs."""
+    parts = [acts[i][0] if i in acts else g.hold for i, g in enumerate(groups)]
+    for i, (_, out) in acts.items():
+        groups[i] = out
+    return par(parts)
 
 
 def _layers(x: Execution) -> dict[int, list[ActionId]]:
@@ -202,112 +236,72 @@ def to_diagram(
     if not x.processes:
         raise ValueError("an execution needs at least one process to have sites")
     pids = sorted(x.processes)
-    owner = {a: p for p, acts in x.processes.items() for a in acts}
+    # action -> index of its process's group, which leads every layout
+    group_of = {a: i for i, p in enumerate(pids) for a in x.processes[p]}
     send_msg = {s: (s, r) for s, r in x.messages}
     recv_msg = {r: (s, r) for s, r in x.messages}
     layers = _layers(x)
-    if sum(map(len, layers.values())) < len(owner):
+    if sum(map(len, layers.values())) < len(group_of):
         # only a cycle leaves actions without a layer; the closure names
         # an action on it
         hb_closure(x)
 
-    # groups of slots; a group is 1 slot, or (proc, msg) pending a join
-    # or just after a fork
-    layout: list[list[_Slot]] = [[("proc", p)] for p in pids]
-    ty: dict[_Slot, StateType] = {("proc", p): _proc_type(p) for p in pids}
-
-    def flat() -> list[_Slot]:
-        return [slot for group in layout for slot in group]
-
-    def group_config(group: list[_Slot]) -> Config:
-        return tensor([Leaf(ty[s]) for s in group])
-
-    def config() -> Config:
-        return tensor([group_config(g) for g in layout])
-
+    # between layers every process slot holds its process's type, so
+    # one group per process serves every layout
+    home = [_Group([(("proc", p), Atom(str(p)))]) for p in pids]
+    groups = list(home)
     steps: list[GlobalStep] = []
     lab: dict[TickRef, Action] = {}
     tick_index: dict[ActionId, TickRef] = {}
 
     for lv in sorted(layers):
-        acting = {owner[a]: a for a in layers[lv]}
+        acting = dict(sorted((group_of[a], a) for a in layers[lv]))
         consumed = {recv_msg[a] for a in layers[lv] if a in recv_msg}
 
         # perm: receivers get their message on the right; everything
         # else in flight moves to the trailing zone, in current order
-        old_cfg = config()
-        old_paths = dict(zip(flat(), sites(old_cfg)))
-        transit = [s for s in flat() if s[0] == "msg" and s[1] not in consumed]
-        layout = [[("proc", p)] for p in pids]
-        for p, a in acting.items():
+        old, old_at = _cut(groups)
+        transit = []
+        for g in groups:
+            kind, key = g[-1][0]
+            if kind == "msg" and key not in consumed:
+                transit.append(g if len(g) == 1 else _Group(g[1:]))
+        groups = home + transit
+        joins = {}
+        for i, a in acting.items():
             if a in recv_msg:
-                layout[pids.index(p)].append(("msg", recv_msg[a]))
-        layout.extend([s] for s in transit)
-        new_cfg = config()
-        new_paths = dict(zip(flat(), sites(new_cfg)))
-        table = {old_paths[s]: new_paths[s] for s in old_paths}
-        route = perm_from_table(old_cfg, new_cfg, table)
+                proc, msg = home[i][0], _msg_part(recv_msg[a])
+                groups[i] = _Group((proc, msg))
+                fused = _Group([(proc[0], Prod(proc[1], msg[1]))])
+                joins[i] = Join(proc[1], msg[1]), fused
+        new, at = _cut(groups)
+        route = perm_from_table(old, new, {old_at[s]: at[s] for s in old_at})
         if not route.is_identity():
             steps.append(PermStep(route))
 
         # join: fuse each (receiver, message) pair
-        if consumed:
-            parts: list[GlobalStep] = []
-            for group in layout:
-                if len(group) == 2:
-                    parts.append(Join(ty[group[0]], ty[group[1]]))
-                else:
-                    parts.append(noop(group_config(group)))
-            steps.append(par(parts))
-            for i, p in enumerate(pids):
-                group = layout[i]
-                if len(group) == 2:
-                    ty[group[0]] = Prod(ty[group[0]], ty[group[1]])
-                    layout[i] = [group[0]]
+        if joins:
+            steps.append(_step(groups, joins))
+            at = _cut(groups)[1]
 
-        # tick: every action of the layer
-        tick_step_index = len(steps)
-        cfg = config()
-        paths = dict(zip(flat(), sites(cfg)))
-        parts = []
-        for group in layout:
-            slot = group[0]
-            kind, key = slot
-            if kind == "proc" and key in acting:
-                a = acting[key]
-                in_ty = ty[slot]
-                if a in send_msg:
-                    out_ty: StateType = Prod(_proc_type(key), _msg_type(send_msg[a]))
-                else:
-                    out_ty = _proc_type(key)
-                parts.append(Tick(in_ty, out_ty))
-                ty[slot] = out_ty
-                ref = TickRef(tick_step_index, paths[slot])
-                lab[ref] = x.actions[a]
-                tick_index[a] = ref
-            else:
-                parts.append(noop(group_config(group)))
-        steps.append(par(parts))
+        # tick: every action of the layer; fork: each sender leaves its
+        # message behind
+        ticks, forks = {}, {}
+        for i, a in acting.items():
+            ((slot, in_ty),) = groups[i]
+            out = home[i]
+            if a in send_msg:
+                proc, msg = home[i][0], _msg_part(send_msg[a])
+                out = _Group([(slot, Prod(proc[1], msg[1]))])
+                forks[i] = Fork(proc[1], msg[1]), _Group((proc, msg))
+            ticks[i] = Tick(in_ty, out[0][1]), out
+            tick_index[a] = TickRef(len(steps), at[slot])
+            lab[tick_index[a]] = x.actions[a]
+        steps.append(_step(groups, ticks))
+        if forks:
+            steps.append(_step(groups, forks))
 
-        # fork: each sender leaves its message behind
-        sends = [a for a in layers[lv] if a in send_msg]
-        if sends:
-            parts = []
-            for i, group in enumerate(layout):
-                slot = group[0]
-                kind, key = slot
-                if kind == "proc" and acting.get(key) in send_msg:
-                    m = send_msg[acting[key]]
-                    parts.append(Fork(_proc_type(key), _msg_type(m)))
-                    ty[slot] = _proc_type(key)
-                    msg_slot: _Slot = ("msg", m)
-                    ty[msg_slot] = _msg_type(m)
-                    layout[i] = [slot, msg_slot]
-                else:
-                    parts.append(noop(group_config(group)))
-            steps.append(par(parts))
-
-    initial = tensor([Leaf(_proc_type(p)) for p in pids])
+    initial = tensor([g.config for g in home])
     return Diagram(initial, tuple(steps)), lab, tick_index
 
 

@@ -159,7 +159,12 @@ def _tables(d: Diagram) -> _Tables:
                         for b in site_types(perm.target):
                             nxt[p + b] = n + len(nxt)
                         for a, b in perm.pairs:
-                            out[here[p + a] - base] = (nxt.get(p + b),)
+                            i = here[p + a] - base
+                            if out[i] is not None:
+                                raise ValueError(
+                                    f"step {k} sends site {p + a!r} of cut {k} twice"
+                                )
+                            out[i] = (nxt.get(p + b),)
             if None in out or (None,) in out:  # unread, or sent off the tree
                 s = next(s for s in here if out[here[s] - base] in (None, (None,)))
                 raise ValueError(f"step {k} takes site {s!r} of cut {k} nowhere")

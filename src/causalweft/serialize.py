@@ -60,6 +60,8 @@ from .diagram import (
     Tensor,
     Tick,
     TickRef,
+    _atom_input,
+    _atom_output,
     _keep_faults,
     check_boundary,
     site_types,
@@ -230,24 +232,21 @@ def _step_from_obj(
         body = obj["tick"]
         if not isinstance(body, dict) or set(body) != {"in", "out"}:
             raise SchemaError(f"tick takes in/out types, got {body!r}")
-        in_ty, out_ty = type_from_obj(body["in"]), type_from_obj(body["out"])
-        step, want, out = Tick(in_ty, out_ty), Leaf(in_ty), Leaf(out_ty)
+        step: GlobalStep = Tick(type_from_obj(body["in"]), type_from_obj(body["out"]))
     elif "fork" in obj:
         body = obj["fork"]
         if not isinstance(body, dict) or set(body) != {"l", "r"}:
             raise SchemaError(f"fork takes l/r types, got {body!r}")
-        l, r = type_from_obj(body["l"]), type_from_obj(body["r"])
-        step, want, out = Fork(l, r), Leaf(Prod(l, r)), Tensor(Leaf(l), Leaf(r))
+        step = Fork(type_from_obj(body["l"]), type_from_obj(body["r"]))
     elif "join" in obj:
         body = obj["join"]
         if not isinstance(body, dict) or set(body) != {"l", "r"}:
             raise SchemaError(f"join takes l/r types, got {body!r}")
-        l, r = type_from_obj(body["l"]), type_from_obj(body["r"])
-        step, want, out = Join(l, r), Tensor(Leaf(l), Leaf(r)), Leaf(Prod(l, r))
+        step = Join(type_from_obj(body["l"]), type_from_obj(body["r"]))
     else:
         raise SchemaError(f"unknown step node {obj!r}")
-    check_boundary(faults, k, path, context, want)
-    return step, out
+    check_boundary(faults, k, path, context, _atom_input(step))
+    return step, _atom_output(step)
 
 
 def step_from_obj(obj: Any, context: Config | None = None) -> GlobalStep:

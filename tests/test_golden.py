@@ -8,8 +8,12 @@ clock on each imported diagram and on one `gen_diagram` document; the
 JSON reports of both checkers on that document; and `paths` between
 event pairs of that document that have witnesses, as text and JSON,
 with and without `--limit` (recorded later, before the paths tables
-were rebuilt from one walk of each step's atoms). A change that leaves
-the output alone must leave every sum as it is. After a deliberate
+were rebuilt from one walk of each step's atoms). One more sum pins the
+compiler alone: the import-execution stdout of 200 seeded executions of
+up to 60 actions over up to 8 processes and of one execution of 400
+one-action processes, taken in one hash before `lamport.to_diagram` was
+rewritten over groups that keep their configuration. A change that
+leaves the output alone must leave every sum as it is. After a deliberate
 change of output, record the sums again with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/sums.json
@@ -27,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 from causalweft.cli import main
+from causalweft.clocks import Action
 from causalweft.diagram import (
     Atom,
     Diagram,
@@ -39,6 +44,7 @@ from causalweft.diagram import (
     Tick,
     validate,
 )
+from causalweft.lamport import Execution, execution_to_obj, gen_execution
 from causalweft.serialize import diagram_from_json, diagram_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -57,6 +63,22 @@ PATH_PAIRS = (("0:L", "N:R"), ("0:R", "end:L"), ("8:L", "16:R"), ("2:L", "9:."))
 A, B = Atom("A"), Atom("B")
 
 
+def compiled_executions() -> list[Execution]:
+    """The executions of the compile sum: seeds 0-199 of `gen_execution`
+    with up to 8 processes and 60 actions, then 400 one-action
+    processes, whose configuration nests 400 tensors deep."""
+    xs = [gen_execution(seed, max_processes=8, max_actions=60) for seed in range(200)]
+    pids = [f"p{i}" for i in range(400)]
+    xs.append(
+        Execution(
+            {p: (f"a{i}",) for i, p in enumerate(pids)},
+            frozenset(),
+            {f"a{i}": Action(p, p) for i, p in enumerate(pids)},
+        )
+    )
+    return xs
+
+
 def _run(argv: list[str]) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -73,6 +95,15 @@ def record(scratch: Path) -> dict[str, str]:
         code, out = _run(argv)
         sums[name] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         return out
+
+    compiled = hashlib.sha256()
+    for i, x in enumerate(compiled_executions()):
+        path = scratch / f"compiled-{i}.json"
+        path.write_text(json.dumps(execution_to_obj(x)), encoding="utf-8")
+        code, out = _run(["import-execution", str(path)])
+        compiled.update(f"{code}\n{out}".encode())
+    name = "import-execution gen_execution seeds 0-199 and 400 processes"
+    sums[name] = compiled.hexdigest()
 
     docs = {"diagram": GOLDEN / "diagram.json"}
     for name in EXECUTIONS:

@@ -89,6 +89,16 @@ def test_an_ill_typed_diagram_gets_no_order():
             events(d)
 
 
+def test_a_perm_that_sends_a_site_twice_gets_no_order():
+    # built in code: L goes to both L and R, so keeping one successor
+    # would drop (0:L, 1:L) or (0:L, 1:R) from the order without a word
+    pair = Tensor(Leaf(A), Leaf(A))
+    twice = Perm(pair, pair, (("L", "L"), ("L", "R"), ("R", "L")))
+    d = Diagram(pair, (PermStep(twice),))
+    with pytest.raises(ValueError, match="^step 0 sends site 'L' of cut 0 twice$"):
+        event_order_pairs(d)
+
+
 def test_event_str():
     assert str(Event(2, "RL")) == "2:RL"
     assert str(Event(0, "")) == "0:."
