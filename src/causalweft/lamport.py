@@ -53,7 +53,7 @@ from .diagram import (
     sites,
     tensor,
 )
-from .paths import action_order
+from .paths import future_rows, set_bits, tick_numbers
 from .serialize import (
     SchemaError,
     label_value_from_obj,
@@ -309,13 +309,26 @@ def derived_order(
     d: Diagram, tick_index: Mapping[ActionId, TickRef]
 ) -> frozenset[tuple[ActionId, ActionId]]:
     """The order the diagram imposes on the indexed actions: a before b
-    iff a's tick can influence b's tick."""
+    iff a's tick can influence b's tick (`action_order`).
+
+    Each tick is resolved once, in sorted-id order, so a bad ref raises
+    the error of the first failing pair in that order. Then each
+    action's after-row is ANDed with a mask of the start events; an
+    after-row holds only later cuts, so no action precedes itself."""
     ids = sorted(tick_index)
+    if len(ids) < 2:
+        return frozenset()
+    numbers = tick_numbers(d, [tick_index[a] for a in ids])
+    starts: dict[int, list[ActionId]] = {}
+    for a, (start, _) in zip(ids, numbers):
+        starts.setdefault(start, []).append(a)
+    mask = sum(1 << start for start in starts)
+    rows = future_rows(d)
     return frozenset(
         (a, b)
-        for a in ids
-        for b in ids
-        if a != b and action_order(d, tick_index[a], tick_index[b])
+        for a, (_, after) in zip(ids, numbers)
+        for start in set_bits(rows[after] & mask)
+        for b in starts[start]
     )
 
 

@@ -5,13 +5,19 @@ import pytest
 
 from causalweft.clocks import Action, by_name
 from causalweft.diagram import (
+    Atom,
+    Diagram,
     GlobalStep,
+    Join,
+    Leaf,
     Par,
     PermStep,
     Tick,
+    TickRef,
     cut_configs,
     labeling_faults,
     n_sites,
+    ticks,
     validate,
 )
 from causalweft.lamport import (
@@ -26,6 +32,8 @@ from causalweft.lamport import (
     to_diagram,
     validate_execution,
 )
+from causalweft import paths
+from causalweft.paths import action_order
 from causalweft.serialize import SchemaError
 from causalweft.verify import check_clock_condition
 
@@ -255,6 +263,92 @@ def test_final_sites_count_processes_and_undelivered_messages():
 def test_gen_execution_is_deterministic():
     assert gen_execution(42) == gen_execution(42)
     assert execution_to_obj(gen_execution(42)) == execution_to_obj(gen_execution(42))
+
+
+# ---------------------------------------------------------------------------
+# derived_order reads the closure rows
+
+
+def pairwise_order(d, tick_index):
+    """Reference: one `action_order` query per ordered pair of ids."""
+    ids = sorted(tick_index)
+    return frozenset(
+        (a, b)
+        for a in ids
+        for b in ids
+        if a != b and action_order(d, tick_index[a], tick_index[b])
+    )
+
+
+def test_derived_order_matches_pairwise_queries_on_generated_executions():
+    for seed in range(200):
+        x = gen_execution(seed)
+        if not x.processes:
+            continue
+        d, _, tick_index = to_diagram(x)
+        order = derived_order(d, tick_index)
+        assert order == pairwise_order(d, tick_index), seed
+        assert order == hb_closure(x), seed
+
+
+def test_derived_order_matches_pairwise_queries_on_corpus_diagrams(small_corpus):
+    twin_pairs = 0
+    for d, _ in small_corpus:
+        refs = ticks(d)
+        if not refs:
+            continue
+        tick_index = {f"t{i:03d}": r for i, r in enumerate(refs)}
+        # a second id on the last tick, sorting right after the first
+        twin = f"t{len(refs) - 1:03d}+"
+        tick_index[twin] = refs[-1]
+        order = derived_order(d, tick_index)
+        assert order == pairwise_order(d, tick_index)
+        twin_pairs += sum(b == twin for _, b in order)
+        assert derived_order(d, {"only": refs[0]}) == frozenset()
+    # some tick precedes a shared one, so both of its ids must be reached
+    assert twin_pairs > 0
+
+
+def test_derived_order_raises_for_the_first_bad_id_in_sorted_order():
+    d, _, tick_index = to_diagram(PING)
+    fork, out_of_range = TickRef(1, "L"), TickRef(5, "L")
+    cases = [
+        ({**tick_index, "a3": fork, "a4": out_of_range},
+         "TickRef(step=1, path='L') names a Fork, not a tick"),
+        ({**tick_index, "a0": out_of_range, "a3": fork},
+         "step 5 out of range 0..4"),
+    ]
+    for index, text in cases:
+        for order in (derived_order, pairwise_order):
+            with pytest.raises(ValueError) as err:
+                order(d, index)
+            assert str(err.value) == text
+    # a single id is never resolved, since it has no pair
+    assert derived_order(d, {"a9": fork}) == frozenset()
+    # both refs of a pair are checked before an ill-typed diagram's
+    # tables raise (the join reads L and R, which cut 1 lacks)
+    A = Atom("A")
+    ill_typed = Diagram(Leaf(A), (Tick(A, A), Join(A, A)))
+    index = {"a": TickRef(0, ""), "b": TickRef(1, "")}
+    for order in (derived_order, pairwise_order):
+        with pytest.raises(ValueError) as err:
+            order(ill_typed, index)
+        assert str(err.value) == "TickRef(step=1, path='') names a Join, not a tick"
+
+
+def test_derived_order_resolves_each_tick_once(monkeypatch):
+    x = gen_execution(910, max_processes=8, max_actions=800)
+    assert (len(x.processes), len(x.action_ids())) == (8, 797)
+    d, _, tick_index = to_diagram(x)
+    calls, tick_at = [], paths.tick_at
+
+    def counting_tick_at(d, ref):
+        calls.append(ref)
+        return tick_at(d, ref)
+
+    monkeypatch.setattr(paths, "tick_at", counting_tick_at)
+    assert derived_order(d, tick_index) == hb_closure(x)
+    assert len(calls) == len(tick_index)
 
 
 # ---------------------------------------------------------------------------
