@@ -27,6 +27,7 @@ from .render import render
 from .serialize import (
     SchemaError,
     diagram_from_json,
+    diagram_hash,
     diagram_to_json,
     diagram_to_obj,
     nesting_guard,
@@ -190,7 +191,8 @@ def _cmd_check_clock(args) -> int:
     valuation = _load_valuation(args.valuation, clock, d)
     report = check_clock_condition(d, _action_labels(lab), clock, valuation)
     if args.json:
-        _print_json(report_to_obj(report, clock))
+        obj = report_to_obj(report, clock)
+        _print_json(obj | {"diagram_hash": diagram_hash(d, lab)})
     else:
         print(
             f"clock {clock.name}: {report.checked_pairs} ordered pairs, "

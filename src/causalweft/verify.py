@@ -25,6 +25,7 @@ from .clocks import (
     Action,
     Clock,
     Valuation,
+    stamp_to_obj,
     timestamp_all,
     update,
     zero_valuation,
@@ -66,7 +67,6 @@ from .paths import (
     step_relation,
     step_successors,
 )
-from .serialize import diagram_hash, witness_to_obj
 
 # ---------------------------------------------------------------------------
 # seeded diagram generation
@@ -230,10 +230,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class ViolationReport:
+    """One checker's verdict. It carries no hash of the document, so
+    checking never serializes the diagram."""
+
     check: str
     checked_pairs: int
     violations: tuple[Violation, ...]
-    diagram_hash: str
 
     @property
     def ok(self) -> bool:
@@ -285,7 +287,7 @@ def check_clock_condition(
     checked = sum(row.bit_count() for row in rows)
     leq = clock.leq
     if _edges_hold(by_number, step_successors(d), leq):
-        return ViolationReport("clock-condition", checked, (), diagram_hash(d, lab))
+        return ViolationReport("clock-condition", checked, ())
     violations = []
     for i, row in enumerate(rows):
         here = by_number[i]
@@ -295,9 +297,7 @@ def check_clock_condition(
                 violations.append(
                     Violation(evs[i], evs[j], here, by_number[j], witness)
                 )
-    return ViolationReport(
-        "clock-condition", checked, tuple(violations), diagram_hash(d, lab)
-    )
+    return ViolationReport("clock-condition", checked, tuple(violations))
 
 
 def check_update_inflationary(
@@ -329,9 +329,7 @@ def check_update_inflationary(
                         Event(0, s1), Event(n, s2), valuation[s1], out[s2], witness
                     )
                 )
-    return ViolationReport(
-        "update-inflationary", checked, tuple(violations), diagram_hash(d, lab)
-    )
+    return ViolationReport("update-inflationary", checked, tuple(violations))
 
 
 def _event_obj(e: Event) -> dict:
@@ -339,21 +337,19 @@ def _event_obj(e: Event) -> dict:
 
 
 def report_to_obj(report: ViolationReport, clock: Clock) -> dict:
-    """Violation report as a JSON-ready object."""
-    from .clocks import stamp_to_obj
-
+    """Violation report as a JSON-ready object. It holds no document
+    hash; `check-clock --json` adds the loaded document's."""
     return {
         "check": report.check,
         "clock": clock.name,
         "checked_pairs": report.checked_pairs,
-        "diagram_hash": report.diagram_hash,
         "violations": [
             {
                 "source": _event_obj(v.source),
                 "dest": _event_obj(v.dest),
                 "source_stamp": stamp_to_obj(clock, v.source_stamp),
                 "dest_stamp": stamp_to_obj(clock, v.dest_stamp),
-                "witness": witness_to_obj(v.witness),
+                "witness": [_event_obj(e) for e in v.witness.events()],
             }
             for v in report.violations
         ],

@@ -20,7 +20,7 @@ from causalweft.diagram import (
     perm_swap,
 )
 from causalweft.lamport import execution_to_obj
-from causalweft.serialize import diagram_to_json
+from causalweft.serialize import diagram_from_json, diagram_hash, diagram_to_json
 
 from conftest import build_message_flow, build_two_tick
 from test_lamport import PING, make_execution
@@ -288,6 +288,9 @@ def test_check_clock_json_report(flow_file, capsys):
     assert obj["clock"] == "wb"
     assert obj["violations"] == []
     assert obj["checked_pairs"] > 0
+    with open(flow_file, encoding="utf-8") as f:
+        text = f.read()
+    assert obj["diagram_hash"] == diagram_hash(*diagram_from_json(text))
 
 
 def test_check_order_text(flow_file, capsys):
