@@ -250,11 +250,12 @@ def _cmd_gen(args) -> int:
 def _cmd_import_execution(args) -> int:
     x = execution_from_json(_read(args.file))
     d, lab, tick_index = to_diagram(x)
-    doc = diagram_to_obj(d, lab)
-    doc["tick_index"] = {
-        a: {"step": r.step, "path": r.path} for a, r in sorted(tick_index.items())
-    }
-    _emit(to_canonical_json(doc), args.out)
+    with nesting_guard():
+        doc = diagram_to_obj(d, lab)
+        doc["tick_index"] = {
+            a: {"step": r.step, "path": r.path} for a, r in sorted(tick_index.items())
+        }
+        _emit(to_canonical_json(doc), args.out)
     return 0
 
 

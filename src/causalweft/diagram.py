@@ -318,9 +318,9 @@ def noop(config: Config) -> PermStep:
     return PermStep(perm_id(config))
 
 
-# The loader calls these on every atom it reads, so the class patterns
-# take no positional subpatterns, each of which costs a __match_args__
-# lookup.
+# `validate` of a diagram built in code and `step_input`/`step_output`
+# call these on every atom, so the class patterns take no positional
+# subpatterns, each of which costs a __match_args__ lookup.
 def _atom_input(atom: AtomicStep) -> Config:
     match atom:
         case Tick():

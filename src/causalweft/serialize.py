@@ -21,9 +21,12 @@ table's target is its source). Parsing is one walk per step, which
 also yields the configuration the next step applies to. Parsing also
 typechecks: the walk checks each step against the configuration it
 applies to, and `validate` on a loaded diagram reads the faults it
-found. Label values of the form {"actor": ..., "target": ...} are read
-back as Actions, whose actor and target must be strings or integers;
-anything else passes through as plain JSON.
+found. Each load hash-conses what it reads (`_Reader`): equal types
+and configurations are one object, and a perm table met again on the
+same configuration object is checked and rebuilt once. Label values
+of the form {"actor": ..., "target": ...} are read back as Actions,
+whose actor and target must be strings or integers; anything else
+passes through as plain JSON.
 
 Printing is canonical (sorted keys, no whitespace, labels sorted by
 step then path), so parse-then-print is byte-stable and documents can
@@ -33,12 +36,15 @@ The stdlib `json` module and the tree walks here recurse once per
 level of nesting, so a document nested deeper than the recursion limit
 (about 1000 levels; a configuration or type adds two per node) is
 rejected with a SchemaError, not a RecursionError (`nesting_guard`).
+A perm's target is rebuilt from its flat table with an explicit stack,
+so it may nest deeper than that.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
@@ -60,8 +66,6 @@ from .diagram import (
     Tensor,
     Tick,
     TickRef,
-    _atom_input,
-    _atom_output,
     _keep_faults,
     check_boundary,
     site_types,
@@ -84,12 +88,6 @@ def nesting_guard() -> Iterator[None]:
         raise SchemaError("document nests too deeply") from None
 
 
-def _need(obj: Any, kind: str) -> dict:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise SchemaError(f"expected a one-key {kind} object, got {obj!r}")
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # types and configurations
 
@@ -103,17 +101,7 @@ def type_to_obj(ty: StateType) -> dict:
 
 
 def type_from_obj(obj: Any) -> StateType:
-    obj = _need(obj, "type")
-    if "atom" in obj:
-        if not isinstance(obj["atom"], str):
-            raise SchemaError(f"atom name must be a string, got {obj['atom']!r}")
-        return Atom(obj["atom"])
-    if "prod" in obj:
-        parts = obj["prod"]
-        if not isinstance(parts, list) or len(parts) != 2:
-            raise SchemaError(f"prod takes two parts, got {parts!r}")
-        return Prod(type_from_obj(parts[0]), type_from_obj(parts[1]))
-    raise SchemaError(f"unknown type node {obj!r}")
+    return _Reader().type(obj)
 
 
 def config_to_obj(config: Config) -> dict:
@@ -126,15 +114,7 @@ def config_to_obj(config: Config) -> dict:
 
 
 def config_from_obj(obj: Any) -> Config:
-    obj = _need(obj, "config")
-    if "leaf" in obj:
-        return Leaf(type_from_obj(obj["leaf"]))
-    if "tensor" in obj:
-        parts = obj["tensor"]
-        if not isinstance(parts, list) or len(parts) != 2:
-            raise SchemaError(f"tensor takes two parts, got {parts!r}")
-        return Tensor(config_from_obj(parts[0]), config_from_obj(parts[1]))
-    raise SchemaError(f"unknown config node {obj!r}")
+    return _Reader().config(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -159,101 +139,161 @@ def _site_ok(s: Any) -> bool:
     return isinstance(s, str) and not s.strip("LR")
 
 
-def _tree_from_paths(paths: set[str], type_of) -> Config:
-    """Rebuild the unique configuration whose leaf set is `paths`."""
-    def build(rest: set[str], prefix: str) -> Config:
-        if rest == {""}:
-            return Leaf(type_of(prefix))
-        ls = {p[1:] for p in rest if p.startswith("L")}
-        rs = {p[1:] for p in rest if p.startswith("R")}
-        if "" in rest or len(ls) + len(rs) != len(rest) or not ls or not rs:
-            raise SchemaError(
-                f"table paths {sorted(prefix + p for p in rest)} do not form a tree"
-            )
-        return Tensor(build(ls, prefix + "L"), build(rs, prefix + "R"))
-
-    return build(paths, "")
-
-
-def _perm_from_obj(body: Any, context: Config | None) -> PermStep:
-    if not isinstance(body, dict) or set(body) != {"table"}:
-        raise SchemaError(f"perm takes a table, got {body!r}")
-    table = body["table"]
-    if not isinstance(table, dict) or not table:
-        raise SchemaError(f"perm table must be a nonempty object, got {table!r}")
-    for s, t in table.items():
-        if not _site_ok(s) or not _site_ok(t):
-            raise SchemaError(f"bad site in perm table: {s!r} -> {t!r}")
-    if context is None:
-        raise SchemaError("perm step in a position with no known configuration")
-    types = site_types(context)
-    if table.keys() != types.keys():
-        raise SchemaError(
-            f"perm table keys {sorted(table)} do not match the sites "
-            f"{sorted(types)} at this position"
-        )
-    if len(set(table.values())) != len(table):
-        raise SchemaError(f"perm table is not injective: {table!r}")
-    if all(s == t for s, t in table.items()):
-        target = context
-    else:
-        back = {t: s for s, t in table.items()}
-        target = _tree_from_paths(set(back), lambda p: types[back[p]])
-    return PermStep(Perm(context, target, tuple(sorted(table.items()))))
-
-
-def _step_from_obj(
-    obj: Any, context: Config | None, k: int, path: str, faults: list[Fault]
-) -> tuple[GlobalStep, Config]:
-    """Parse the node at `path` of step k, applied to `context`; return
-    it with its output configuration, read off the same walk, and
-    append to `faults` what `validate` finds at it, in tree order.
-    Those are boundary faults only: a perm parsed here has no table
-    faults, because its keys are the sites of its source (`context`),
-    its values are injective, and its target is rebuilt from the values
-    with the source's types, so `Perm.faults()` is empty."""
-    obj = _need(obj, "step")
-    if "par" in obj:
-        parts = obj["par"]
-        if not isinstance(parts, list) or len(parts) != 2:
-            raise SchemaError(f"par takes two steps, got {parts!r}")
-        lctx = rctx = None
-        if isinstance(context, Tensor):
-            lctx, rctx = context.left, context.right
-        else:
-            check_boundary(faults, k, path, context, None)
-        left, lout = _step_from_obj(parts[0], lctx, k, path + "L", faults)
-        right, rout = _step_from_obj(parts[1], rctx, k, path + "R", faults)
-        return Par(left, right), Tensor(lout, rout)
-    if "perm" in obj:
-        step = _perm_from_obj(obj["perm"], context)
-        return step, step.perm.target
-    if "tick" in obj:
-        body = obj["tick"]
-        if not isinstance(body, dict) or set(body) != {"in", "out"}:
-            raise SchemaError(f"tick takes in/out types, got {body!r}")
-        step: GlobalStep = Tick(type_from_obj(body["in"]), type_from_obj(body["out"]))
-    elif "fork" in obj:
-        body = obj["fork"]
-        if not isinstance(body, dict) or set(body) != {"l", "r"}:
-            raise SchemaError(f"fork takes l/r types, got {body!r}")
-        step = Fork(type_from_obj(body["l"]), type_from_obj(body["r"]))
-    elif "join" in obj:
-        body = obj["join"]
-        if not isinstance(body, dict) or set(body) != {"l", "r"}:
-            raise SchemaError(f"join takes l/r types, got {body!r}")
-        step = Join(type_from_obj(body["l"]), type_from_obj(body["r"]))
-    else:
-        raise SchemaError(f"unknown step node {obj!r}")
-    check_boundary(faults, k, path, context, _atom_input(step))
-    return step, _atom_output(step)
-
-
 def step_from_obj(obj: Any, context: Config | None = None) -> GlobalStep:
     """Parse a step. `context` is the configuration the step is applied
     to; it is how a perm learns its source and is threaded into par
     halves."""
-    return _step_from_obj(obj, context, 0, "", [])[0]
+    return _Reader().step(obj, context, 0, "", [])[0]
+
+
+class _Reader:
+    """One call's parse, freed with it. Equal terms it builds are one
+    object, so `check_boundary` settles a well-typed node by `is`; each
+    method recurses once per level of nesting, as `json` does, so
+    `nesting_guard` bounds both alike."""
+
+    __slots__ = ("terms", "perms")
+
+    def __init__(self) -> None:
+        self.terms: dict[Any, Any] = {}
+        self.perms: dict[tuple[int, tuple], PermStep] = {}
+
+    def term(self, cls: type, a: Any, b: Any = None) -> Any:
+        """The one `cls(a)` or `cls(a, b)` of this call, keyed by the ids
+        of its parts, which it keeps alive. `terms` keys an `Atom` by name."""
+        key = (cls, id(a), id(b))
+        made = self.terms.get(key)
+        return made or self.terms.setdefault(key, cls(a) if b is None else cls(a, b))
+
+    def type(self, obj: Any) -> StateType:
+        if not isinstance(obj, dict) or len(obj) != 1:
+            raise SchemaError(f"expected a one-key type object, got {obj!r}")
+        [(key, body)] = obj.items()
+        if key == "atom":
+            if not isinstance(body, str):
+                raise SchemaError(f"atom name must be a string, got {body!r}")
+            return self.terms.get(body) or self.terms.setdefault(body, Atom(body))
+        if key == "prod":
+            if not isinstance(body, list) or len(body) != 2:
+                raise SchemaError(f"prod takes two parts, got {body!r}")
+            return self.term(Prod, self.type(body[0]), self.type(body[1]))
+        raise SchemaError(f"unknown type node {obj!r}")
+
+    def config(self, obj: Any) -> Config:
+        if not isinstance(obj, dict) or len(obj) != 1:
+            raise SchemaError(f"expected a one-key config object, got {obj!r}")
+        [(key, body)] = obj.items()
+        if key == "leaf":
+            return self.term(Leaf, self.type(body))
+        if key == "tensor":
+            if not isinstance(body, list) or len(body) != 2:
+                raise SchemaError(f"tensor takes two parts, got {body!r}")
+            return self.term(Tensor, self.config(body[0]), self.config(body[1]))
+        raise SchemaError(f"unknown config node {obj!r}")
+
+    def perm(self, body: Any, context: Config | None) -> PermStep:
+        """A perm applied to `context`. Only a table that passed every
+        check on this context object is kept, under the object's id (the
+        step keeps it alive) and the table's items, so a hit before the
+        checks is exact. An unhashable table misses and fails them."""
+        if not isinstance(body, dict) or len(body) != 1 or "table" not in body:
+            raise SchemaError(f"perm takes a table, got {body!r}")
+        table = body["table"]
+        if not isinstance(table, dict) or not table:
+            raise SchemaError(f"perm table must be a nonempty object, got {table!r}")
+        key = (id(context), tuple(table.items()))
+        try:
+            step = self.perms.get(key)
+        except TypeError:
+            step = None
+        if step is not None:
+            return step
+        for s, t in table.items():
+            if not _site_ok(s) or not _site_ok(t):
+                raise SchemaError(f"bad site in perm table: {s!r} -> {t!r}")
+        if context is None:
+            raise SchemaError("perm step in a position with no known configuration")
+        types = site_types(context)
+        if table.keys() != types.keys():
+            raise SchemaError(
+                f"perm table keys {sorted(table)} do not match the sites "
+                f"{sorted(types)} at this position"
+            )
+        if len(set(table.values())) != len(table):
+            raise SchemaError(f"perm table is not injective: {table!r}")
+        if all(s == t for s, t in table.items()):
+            target = context
+        else:
+            back = {t: s for s, t in table.items()}
+            target = self.target(sorted(back), lambda p: types[back[p]])
+        pairs = tuple(sorted(table.items()))
+        step = self.perms[key] = PermStep(Perm(context, target, pairs))
+        return step
+
+    def target(self, paths: list[str], type_of) -> Config:
+        """The configuration whose leaf set is the sorted `paths`. Sorted
+        order is pre-order, so one pass with a stack visits each node as
+        the slice [i, j) of paths below it, merges its halves once built,
+        and reports the first node that is neither a leaf nor split."""
+        done: list[Config] = []
+        todo: list[tuple[str | None, int, int]] = [("", 0, len(paths))]
+        while todo:
+            prefix, i, j = todo.pop()
+            if prefix is None:  # both halves of a node are built
+                right = done.pop()
+                done[-1] = self.term(Tensor, done[-1], right)
+            elif j - i == 1 and paths[i] == prefix:
+                done.append(self.term(Leaf, type_of(prefix)))
+            else:
+                m = bisect_left(paths, prefix + "R", i, j)
+                if paths[i] == prefix or m == i or m == j:
+                    raise SchemaError(f"table paths {paths[i:j]} do not form a tree")
+                todo += ((None, 0, 0), (prefix + "R", m, j), (prefix + "L", i, m))
+        return done[0]
+
+    def step(
+        self, obj: Any, context: Config | None, k: int, path: str, faults: list[Fault]
+    ) -> tuple[GlobalStep, Config]:
+        """Parse the node at `path` of step k, applied to `context`;
+        return it with its output configuration and append to `faults`
+        the boundary faults `validate` finds at it, in tree order. A
+        parsed perm has no table faults: its keys are the sites of its
+        source, its values are injective and its target is rebuilt."""
+        if not isinstance(obj, dict) or len(obj) != 1:
+            raise SchemaError(f"expected a one-key step object, got {obj!r}")
+        [(key, body)] = obj.items()
+        if key == "perm":
+            step = self.perm(body, context)
+            return step, step.perm.target
+        if key == "par":
+            if not isinstance(body, list) or len(body) != 2:
+                raise SchemaError(f"par takes two steps, got {body!r}")
+            lctx = rctx = None
+            if isinstance(context, Tensor):
+                lctx, rctx = context.left, context.right
+            else:
+                check_boundary(faults, k, path, context, None)
+            left, lout = self.step(body[0], lctx, k, path + "L", faults)
+            right, rout = self.step(body[1], rctx, k, path + "R", faults)
+            return Par(left, right), self.term(Tensor, lout, rout)
+        if key == "tick":
+            if not isinstance(body, dict) or set(body) != {"in", "out"}:
+                raise SchemaError(f"tick takes in/out types, got {body!r}")
+            in_ty, out_ty = self.type(body["in"]), self.type(body["out"])
+            step: GlobalStep = Tick(in_ty, out_ty)
+            want, out = self.term(Leaf, in_ty), self.term(Leaf, out_ty)
+        elif key == "fork" or key == "join":
+            if not isinstance(body, dict) or set(body) != {"l", "r"}:
+                raise SchemaError(f"{key} takes l/r types, got {body!r}")
+            l, r = self.type(body["l"]), self.type(body["r"])
+            one = self.term(Leaf, self.term(Prod, l, r))  # [l x r]
+            two = self.term(Tensor, self.term(Leaf, l), self.term(Leaf, r))  # [l] * [r]
+            fork = key == "fork"
+            step, want, out = (Fork(l, r), one, two) if fork else (Join(l, r), two, one)
+        else:
+            raise SchemaError(f"unknown step node {obj!r}")
+        check_boundary(faults, k, path, context, want)
+        return step, out
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +349,8 @@ def diagram_from_obj(obj: Any) -> tuple[Diagram, dict[TickRef, Any]]:
     for key in ("initial", "steps"):
         if key not in obj:
             raise SchemaError(f"diagram object lacks {key!r}")
-    initial = config_from_obj(obj["initial"])
+    reader = _Reader()
+    initial = reader.config(obj["initial"])
     raw_steps = obj["steps"]
     if not isinstance(raw_steps, list):
         raise SchemaError(f"steps must be a list, got {raw_steps!r}")
@@ -317,7 +358,7 @@ def diagram_from_obj(obj: Any) -> tuple[Diagram, dict[TickRef, Any]]:
     faults: list[Fault] = []
     context = initial
     for k, raw in enumerate(raw_steps):
-        step, context = _step_from_obj(raw, context, k, "", faults)
+        step, context = reader.step(raw, context, k, "", faults)
         steps.append(step)
     raw_labels = obj.get("labels", [])
     if not isinstance(raw_labels, list):

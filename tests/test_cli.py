@@ -421,6 +421,17 @@ def test_import_and_validate_take_400_processes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"ok": True, "faults": [], "final": final}
 
 
+def test_import_of_1500_processes_is_an_input_error(tmp_path, capsys):
+    # the compiled configuration nests 1500 tensors deep, past what the
+    # JSON writer can nest; nothing is written
+    wide = make_execution({f"p{i}": (f"a{i}",) for i in range(1500)})
+    path = write(tmp_path, "wide.json", json.dumps(execution_to_obj(wide)))
+    out = tmp_path / "compiled.json"
+    assert main(["import-execution", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: document nests too deeply\n"
+    assert not out.exists()
+
+
 def test_subcommand_is_required():
     with pytest.raises(SystemExit):
         main([])

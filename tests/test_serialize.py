@@ -1,5 +1,7 @@
 import json
 import random
+import weakref
+from dataclasses import fields, is_dataclass
 
 import pytest
 from conftest import corpus_params
@@ -9,11 +11,14 @@ from causalweft.diagram import (
     Atom,
     Diagram,
     Leaf,
+    Par,
     PermStep,
     Prod,
     Tensor,
     Tick,
     TickRef,
+    noop,
+    sites,
     tensor,
     validate,
 )
@@ -77,8 +82,8 @@ def test_document_round_trip(message_flow):
     assert diagram_to_json(d2, lab2) == text
 
 
-def test_round_trip_is_bit_stable_on_the_corpus(small_corpus):
-    for d, lab in small_corpus:
+def test_round_trip_is_bit_stable_on_the_corpus(corpus):
+    for d, lab in corpus:
         text = diagram_to_json(d, lab)
         d2, lab2 = diagram_from_json(text)
         assert (d2, lab2) == (d, lab)
@@ -104,6 +109,118 @@ def test_diagram_hash_is_stable_and_discriminating(message_flow, diamond):
     assert diagram_hash(d1, lab1) == diagram_hash(d1, lab1)
     assert diagram_hash(d1, lab1) != diagram_hash(d2, lab2)
     assert diagram_hash(d1, lab1) != diagram_hash(d1, {})
+
+
+# ---------------------------------------------------------------------------
+# one load hash-conses its terms
+
+def _reachable(d: Diagram) -> list:
+    """Every dataclass object reachable from a diagram's fields, once."""
+    out, seen, stack = [], set(), [d]
+    while stack:
+        node = stack.pop()
+        if is_dataclass(node) and id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(getattr(node, f.name) for f in fields(node))
+        elif isinstance(node, tuple):
+            stack.extend(node)
+    return out
+
+
+def test_one_load_shares_equal_terms():
+    half = Tensor(Leaf(A), Leaf(Prod(A, B)))
+    ticks = Par(Tick(A, A), Tick(Prod(A, B), Prod(A, B)))
+    d0 = Diagram(Tensor(half, half), (noop(Tensor(half, half)),) * 2 + (Par(ticks, ticks),))
+    d, _ = diagram_from_json(diagram_to_json(d0))
+    assert d == d0
+    left, right = d.initial.left, d.initial.right
+    assert left is right
+    assert left.left.ty is left.right.ty.left
+    assert d.steps[2].right.left.in_ty is left.left.ty
+    assert d.steps[0] is d.steps[1]
+
+
+def test_two_loads_share_no_term(small_corpus):
+    kinds = (Atom, Prod, Leaf, Tensor, PermStep)
+    text = next(
+        diagram_to_json(d, lab)
+        for d, lab in small_corpus
+        if sum(isinstance(s, PermStep) for s in d.steps) > 1
+    )
+    one, two = diagram_from_json(text)[0], diagram_from_json(text)[0]
+    assert one == two
+    ids_one = {id(x) for x in _reachable(one) if isinstance(x, kinds)}
+    ids_two = {id(x) for x in _reachable(two) if isinstance(x, kinds)}
+    assert ids_one and not ids_one & ids_two
+
+
+def test_a_loaded_diagram_is_freed_once_dropped(message_flow):
+    d, lab = diagram_from_json(diagram_to_json(*message_flow))
+    refs = [weakref.ref(x) for x in _reachable(d)]
+    assert any(isinstance(r(), PermStep) for r in refs)
+    del d, lab
+    assert all(r() is None for r in refs)
+
+
+@pytest.mark.parametrize(
+    "initial, tables, message",
+    [
+        # a table that was valid on an earlier configuration
+        (
+            Tensor(Leaf(Prod(A, A)), Leaf(A)),
+            [{"L": "L", "R": "R"}, None, {"L": "L", "R": "R"}],
+            "perm table keys ['L', 'R'] do not match the sites ['LL', 'LR', 'R'] at this position",
+        ),
+        # an unhashable site, after a valid table on the same configuration
+        (Leaf(A), [{"": ""}, {"": ["L"]}], "bad site in perm table: '' -> ['L']"),
+        # one path is a prefix of others
+        (
+            Tensor(Leaf(A), Tensor(Leaf(A), Leaf(A))),
+            [{"L": "L", "RL": "LL", "RR": "R"}],
+            "table paths ['L', 'LL'] do not form a tree",
+        ),
+        (
+            Tensor(Tensor(Leaf(A), Leaf(A)), Tensor(Leaf(A), Leaf(A))),
+            [{"LL": "L", "LR": "LL", "RL": "LR", "RR": "R"}],
+            "table paths ['L', 'LL', 'LR'] do not form a tree",
+        ),
+        # a path without its sibling
+        (
+            Tensor(Leaf(A), Tensor(Leaf(A), Leaf(A))),
+            [{"L": "LL", "RL": "LR", "RR": "RL"}],
+            "table paths ['RL'] do not form a tree",
+        ),
+        # two broken subtrees: the first in pre-order is reported
+        (
+            Tensor(Leaf(A), Tensor(Leaf(A), Leaf(A))),
+            [{"L": "LL", "RL": "RL", "RR": "RRL"}],
+            "table paths ['LL'] do not form a tree",
+        ),
+    ],
+)
+def test_the_perm_memo_skips_no_check(initial, tables, message):
+    # None stands for a step that forks the left site, so the next
+    # configuration is a new object with other sites
+    fork = {"par": [{"fork": {"l": {"atom": "A"}, "r": {"atom": "A"}}}, {"perm": {"table": {"": ""}}}]}
+    steps = [fork if t is None else {"perm": {"table": t}} for t in tables]
+    doc = {"initial": config_to_obj(initial), "steps": steps, "labels": []}
+    with pytest.raises(SchemaError) as e:
+        diagram_from_obj(doc)
+    assert str(e.value) == message
+
+
+def test_a_perm_target_deeper_than_the_recursion_limit_loads():
+    # 2048 sites 11 levels deep, permuted onto a right comb 2047 deep
+    level = [Leaf(A)] * 2048
+    while len(level) > 1:
+        level = [Tensor(a, b) for a, b in zip(level[::2], level[1::2])]
+    comb = ["R" * i + "L" for i in range(2047)] + ["R" * 2047]
+    table = dict(zip(sites(level[0]), comb))
+    doc = {"initial": config_to_obj(level[0]), "steps": [{"perm": {"table": table}}]}
+    d, _ = diagram_from_obj(doc)
+    assert validate(d) == []
+    assert sites(d.final) == tuple(comb)
 
 
 # ---------------------------------------------------------------------------
