@@ -15,14 +15,14 @@ from .clocks import (
     CLOCK_NAMES,
     Action,
     by_name,
+    event_stamps,
     stamp_from_obj,
     stamp_to_obj,
-    timestamp_all,
     zero_valuation,
 )
 from .diagram import Diagram, ticks, validate
 from .lamport import execution_from_json, to_diagram
-from .paths import Event, causal_paths
+from .paths import Event, causal_paths, cut_numbers
 from .render import render
 from .serialize import (
     SchemaError,
@@ -168,19 +168,22 @@ def _cmd_timestamps(args) -> int:
     _require_valid(d)
     clock = by_name(args.clock)
     valuation = _load_valuation(args.valuation, clock, d)
-    stamps = timestamp_all(d, _action_labels(lab), clock, valuation)
-    rows = sorted(stamps.items(), key=lambda row: (row[0].cut, row[0].site))
+    stamps = event_stamps(d, _action_labels(lab), clock, valuation)
     # Perms, forks and idle sites pass stamps on by reference, so most
     # events share their stamp object with others: convert each object
     # once. `stamps` keeps every object alive, so their ids are stable.
-    distinct = {id(v): v for v in stamps.values()}
+    distinct = {id(v): v for v in stamps}
     objs = {i: stamp_to_obj(clock, v) for i, v in distinct.items()}
+    # event numbers run in (cut, site) order
+    cuts = cut_numbers(d)
+    rows = [(t, s, id(stamps[j])) for t, here in enumerate(cuts) for s, j in here.items()]
     if args.json:
-        events = [{"cut": e.cut, "site": e.site, "stamp": objs[id(v)]} for e, v in rows]
+        events = [{"cut": t, "site": s, "stamp": objs[i]} for t, s, i in rows]
         _print_json({"clock": clock.name, "events": events})
     else:
         texts = {i: to_canonical_json(obj) for i, obj in objs.items()}
-        sys.stdout.write("".join(f"{e}  {texts[id(v)]}\n" for e, v in rows))
+        lines = (f"{t}:{s or '.'}  {texts[i]}\n" for t, s, i in rows)
+        sys.stdout.write("".join(lines))
     return 0
 
 

@@ -3,8 +3,9 @@
 A clock is an algebra of timestamps: a preorder `leq`, a family of
 `increment` operations indexed by actions, and a binary `merge`. Any
 such algebra can be pushed through a diagram: ticks increment, forks
-copy, joins merge, perms shuffle. The result assigns a timestamp to
-every site at every cut, from which per-event clock reads fall out.
+copy, joins merge, perms shuffle. That is one sweep up the event
+numbers of the `paths` table, along its step edges, which stamps every
+event; per-event clock reads and the final valuation are read off it.
 
 Two families are built in. Classifier clocks count how many times each
 class of action has been seen, for a pluggable notion of class (all
@@ -17,21 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
-from .diagram import (
-    Diagram,
-    Fork,
-    Join,
-    PermStep,
-    SiteRef,
-    Tick,
-    TickRef,
-    site_types,
-    sites,
-    step_atoms,
-)
-from .paths import Event, check_event
+from .diagram import Diagram, SiteRef, TickRef, site_types, sites
+from .paths import Event, check_event, cut_numbers, events, step_successors, tick_outputs
 
 Pid = str | int
 
@@ -336,42 +326,43 @@ def zero_valuation(clock: Clock, config) -> dict[SiteRef, Any]:
     return {s: clock.zero() for s in sites(config)}
 
 
-def _sweep(
+def event_stamps(
     d: Diagram,
     lab: Mapping[TickRef, Action],
     clock: Clock,
     valuation: Valuation,
     stop: int | None = None,
-) -> Iterator[dict[SiteRef, Any]]:
-    """The valuation at every cut from 0 up to `stop` (default: the
-    last), one step at a time. Ticks increment, forks copy, joins merge
-    and perms move; a stamp that is only moved stays the same object."""
-    cur = dict(valuation)
+) -> list[Any]:
+    """The stamp of every event, indexed by event number: one sweep up
+    the numbers pushes each stamp along its step edges. A copy passes
+    the object on, a tick increments it, and a join merges its left
+    input (the lower number, so the first to arrive) with its right.
+    With `stop`, only the stamps up to cut `stop` are final and no later
+    label is read. Raises ValueError for valuation keys other than the
+    initial sites, a step that reads a missing site, or an unlabeled tick."""
     want = site_types(d.initial)
-    if cur.keys() != want.keys():
+    if valuation.keys() != want.keys():
         raise ValueError(
-            f"valuation keys {sorted(cur)} do not match initial sites {sorted(want)}"
+            f"valuation keys {sorted(valuation)} do not match initial sites {sorted(want)}"
         )
-    yield cur
-    for k, step in enumerate(d.steps[:stop]):
-        nxt: dict[SiteRef, Any] = {}
-        for p, atom in step_atoms(step):
-            match atom:
-                case Tick():
-                    try:
-                        action = lab[TickRef(k, p)]
-                    except KeyError:
-                        raise ValueError(f"tick {TickRef(k, p)} has no label") from None
-                    nxt[p] = clock.increment(action, cur[p])
-                case Fork():
-                    nxt[p + "L"] = nxt[p + "R"] = cur[p]
-                case Join():
-                    nxt[p] = clock.merge(cur[p + "L"], cur[p + "R"])
-                case PermStep(perm):
-                    for s, t in perm.pairs:
-                        nxt[p + t] = cur[p + s]
-        yield nxt
-        cur = nxt
+    successors, ticks = step_successors(d), tick_outputs(d)
+    unset = object()
+    stamps = [valuation[s] for s in want] + [unset] * (len(successors) - len(want))
+    end = len(successors) if stop is None else min(cut_numbers(d)[stop].values())
+    increment, merge = clock.increment, clock.merge
+    for i in range(end):
+        here = stamps[i]
+        for j in successors[i]:
+            if stamps[j] is not unset:
+                stamps[j] = merge(stamps[j], here)
+            elif j in ticks:
+                ref = TickRef(*ticks[j])
+                if ref not in lab:
+                    raise ValueError(f"tick {ref} has no label")
+                stamps[j] = increment(lab[ref], here)
+            else:
+                stamps[j] = here
+    return stamps
 
 
 def update(
@@ -383,9 +374,8 @@ def update(
     """Push a per-site valuation through a whole diagram, returning the
     valuation of the final configuration. The diagram must be valid
     and the labeling total on its ticks."""
-    for cur in _sweep(d, lab, clock, valuation):
-        pass
-    return cur
+    stamps = event_stamps(d, lab, clock, valuation)
+    return {s: stamps[j] for s, j in cut_numbers(d)[-1].items()}
 
 
 def timestamp_all(
@@ -395,10 +385,8 @@ def timestamp_all(
     valuation: Valuation,
 ) -> dict[Event, Any]:
     """Timestamp of every event of the diagram, in one forward pass."""
-    out: dict[Event, Any] = {}
-    for t, cur in enumerate(_sweep(d, lab, clock, valuation)):
-        out.update((Event(t, s), v) for s, v in cur.items())
-    return out
+    stamps = event_stamps(d, lab, clock, valuation)
+    return dict(zip(events(d), stamps))
 
 
 def clock_at(
@@ -412,6 +400,4 @@ def clock_at(
     look at its site. Agrees with `timestamp_all`, and reads no label
     past that cut."""
     check_event(d, e)
-    for cur in _sweep(d, lab, clock, valuation, e.cut):
-        pass
-    return cur[e.site]
+    return event_stamps(d, lab, clock, valuation, e.cut)[cut_numbers(d)[e.cut][e.site]]

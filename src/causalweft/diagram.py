@@ -79,10 +79,21 @@ class Leaf:
 
 @dataclass(frozen=True)
 class Tensor:
-    """Two disjoint halves of a configuration, side by side."""
+    """Two disjoint halves of a configuration, side by side.
+
+    Equality and hashing read the site table, which fixes the tree, so
+    a wide tensor does not recurse once per level."""
 
     left: "Config"
     right: "Config"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return self is other or site_types(self) == site_types(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(site_types(self).items()))
 
     def __str__(self) -> str:
         # explicit stack: left-nested tensors outgrow the recursion limit
@@ -201,8 +212,7 @@ class Perm:
     def is_identity(self) -> bool:
         if any(s != t for s, t in self.pairs):
             return False
-        # a site table fixes its tree, and comparing tables does not recurse
-        return site_types(self.source) == site_types(self.target)
+        return self.source == self.target
 
     def faults(self) -> list[str]:
         """Why this is not a type-preserving bijection; empty if it is."""
@@ -303,10 +313,21 @@ class PermStep:
 @dataclass(frozen=True)
 class Par:
     """Two steps running side by side on disjoint halves of the
-    configuration."""
+    configuration.
+
+    Equality and hashing read the list of atoms with their paths, which
+    fixes the tree, so a wide step does not recurse once per level."""
 
     left: "GlobalStep"
     right: "GlobalStep"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Par):
+            return NotImplemented
+        return self is other or list(step_atoms(self)) == list(step_atoms(other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(step_atoms(self)))
 
 
 GlobalStep = Tick | Fork | Join | PermStep | Par
@@ -466,17 +487,13 @@ def check_boundary(
     atomic action; None stands for a parallel step, which needs a
     tensor. `have` is None below a parallel step that met a leaf, where
     there is no boundary to check. Every typing walk reports its
-    boundary faults here. A leaf compares with == directly; a tensor
-    by its site table, which fixes the tree, so a wide one does not
-    recurse."""
+    boundary faults here."""
     if have is None:
         return
     if want is None:
         if not isinstance(have, Tensor):
             faults.append(Fault(k, path, f"parallel step needs a tensor, found {have}"))
-    elif have is not want and (
-        have != want if isinstance(want, Leaf) else site_types(have) != site_types(want)
-    ):
+    elif have is not want and have != want:
         faults.append(Fault(k, path, f"step expects {want}, found {have}"))
 
 

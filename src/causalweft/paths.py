@@ -9,12 +9,13 @@ order is their existence.
 Every order query reads one table of closure rows. Events are numbered
 by (cut, site), their sort order, and row i is the bitmask of the
 events event i can influence, itself included. One walk of each step's
-atoms numbers the events and lists each one's one-step successors,
-which all carry higher numbers; the rows come from one sweep down the
-numbers, each the event's own bit or-ed with its successors' rows (cf.
-Purdom 1970, "A transitive closure algorithm"). The tables live on the
-diagram instance and are freed with it. The rows are built by the
-first order query, so validating, rendering and timestamping never pay.
+atoms numbers the events, lists each one's one-step successors, which
+all carry higher numbers, and records each tick's output event. The
+rows come from one sweep down the numbers, each the event's own bit
+or-ed with its successors' rows (cf. Purdom 1970, "A transitive
+closure algorithm"). The tables live on the diagram instance and are
+freed with it. The rows are built by the first order query, so
+validating, rendering and timestamping never pay.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ class _Tables:
     numbers: tuple[Mapping[SiteRef, int], ...]
     # per event number: the numbers of its one-step successors, ascending
     successors: tuple[tuple[int, ...], ...]
+    # per tick, in tick order: its output event number -> (step, path)
+    ticks: Mapping[int, tuple[int, str]]
 
     @cached_property
     def future(self) -> tuple[int, ...]:
@@ -138,7 +141,7 @@ def _tables(d: Diagram) -> _Tables:
     if tables is not None:
         return tables
     here = {s: i for i, s in enumerate(site_types(d.initial))}
-    numbers, successors, n = [here], [], len(here)
+    numbers, successors, ticks, n = [here], [], {}, len(here)
     try:
         for k, step in enumerate(d.steps):
             # atoms come left to right with prefix-free paths, so the
@@ -149,6 +152,7 @@ def _tables(d: Diagram) -> _Tables:
                 match atom:
                     case Tick():
                         out[here[p] - base], nxt[p] = (j,), j
+                        ticks[j] = k, p
                     case Fork():
                         out[here[p] - base] = (j, j + 1)
                         nxt[p + "L"], nxt[p + "R"] = j, j + 1
@@ -174,7 +178,17 @@ def _tables(d: Diagram) -> _Tables:
     except KeyError as missing:
         raise ValueError(f"step {k} reads site {missing}, missing at cut {k}") from None
     successors += [()] * len(here)
-    return d.__dict__.setdefault(_TABLES, _Tables(tuple(numbers), tuple(successors)))
+    return d.__dict__.setdefault(_TABLES, _Tables(tuple(numbers), tuple(successors), ticks))
+
+
+def cut_numbers(d: Diagram) -> tuple[Mapping[SiteRef, int], ...]:
+    """Per cut, its sites in site order, mapped to their event numbers."""
+    return _tables(d).numbers
+
+
+def tick_outputs(d: Diagram) -> Mapping[int, tuple[int, str]]:
+    """Each tick's after-event number, mapped to its TickRef's fields."""
+    return _tables(d).ticks
 
 
 def future_rows(d: Diagram) -> tuple[int, ...]:

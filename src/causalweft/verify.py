@@ -25,9 +25,8 @@ from .clocks import (
     Action,
     Clock,
     Valuation,
+    event_stamps,
     stamp_to_obj,
-    timestamp_all,
-    update,
     zero_valuation,
 )
 from .diagram import (
@@ -60,6 +59,7 @@ from .paths import (
     PathWitness,
     causal_paths,
     closure_rebuilt,
+    cut_numbers,
     events,
     future_rows,
     set_bits,
@@ -280,23 +280,20 @@ def check_clock_condition(
     violation carries the first witness in enumeration order."""
     if valuation is None:
         valuation = zero_valuation(clock, d.initial)
-    stamps = timestamp_all(d, lab, clock, valuation)
-    evs = events(d)
-    by_number = [stamps[e] for e in evs]
+    stamps = event_stamps(d, lab, clock, valuation)
     rows = future_rows(d)
     checked = sum(row.bit_count() for row in rows)
     leq = clock.leq
-    if _edges_hold(by_number, step_successors(d), leq):
+    if _edges_hold(stamps, step_successors(d), leq):
         return ViolationReport("clock-condition", checked, ())
+    evs = events(d)
     violations = []
     for i, row in enumerate(rows):
-        here = by_number[i]
+        here = stamps[i]
         for j in set_bits(row):
-            if not leq(here, by_number[j]):
+            if not leq(here, stamps[j]):
                 witness = next(causal_paths(d, evs[i], evs[j]))
-                violations.append(
-                    Violation(evs[i], evs[j], here, by_number[j], witness)
-                )
+                violations.append(Violation(evs[i], evs[j], here, stamps[j], witness))
     return ViolationReport("clock-condition", checked, tuple(violations))
 
 
@@ -310,23 +307,21 @@ def check_update_inflationary(
     every connected (initial site, final site) pair?"""
     if valuation is None:
         valuation = zero_valuation(clock, d.initial)
-    out = update(d, lab, clock, valuation)
+    stamps = event_stamps(d, lab, clock, valuation)
     violations = []
     checked = 0
     n = d.n_steps
-    rows = future_rows(d)
-    final = sites(d.final)
-    first_final = len(rows) - len(final)  # initial sites number from 0
-    for i, s1 in enumerate(sites(d.initial)):
-        for k, s2 in enumerate(final):
-            if not rows[i] >> (first_final + k) & 1:
+    rows, numbers = future_rows(d), cut_numbers(d)
+    for s1, i in numbers[0].items():
+        for s2, j in numbers[n].items():
+            if not rows[i] >> j & 1:
                 continue
             checked += 1
-            if not clock.leq(valuation[s1], out[s2]):
+            if not clock.leq(valuation[s1], stamps[j]):
                 witness = next(span_enumerate(d, s1, s2))
                 violations.append(
                     Violation(
-                        Event(0, s1), Event(n, s2), valuation[s1], out[s2], witness
+                        Event(0, s1), Event(n, s2), valuation[s1], stamps[j], witness
                     )
                 )
     return ViolationReport("update-inflationary", checked, tuple(violations))

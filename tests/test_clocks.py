@@ -22,6 +22,7 @@ from causalweft.clocks import (
 from causalweft.diagram import (
     Atom,
     Diagram,
+    Fork,
     Join,
     Leaf,
     PermStep,
@@ -35,14 +36,18 @@ from causalweft.diagram import (
     par,
     restrict_labeling,
     seq_concat,
+    site_types,
     sites,
+    step_atoms,
     tensor,
     tick_labels,
     ticks,
     validate,
 )
+from causalweft.lamport import gen_execution, to_diagram
 from causalweft.paths import Event, events, step_relation
 from causalweft.render import render
+from causalweft.verify import random_valuation
 
 A, B = Atom("A"), Atom("B")
 
@@ -330,3 +335,115 @@ def test_clock_at_reads_no_label_past_the_events_cut(small_corpus):
             for e in events(d):
                 head = {r: a for r, a in lab.items() if r.step < e.cut}
                 assert clock_at(d, head, clock, v, e) == clock_at(d, lab, clock, v, e)
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle for the numbered sweep
+#
+# The library stamps events by number, pushing each stamp along the step
+# edges of the `paths` table. This reference takes the other road: it
+# pushes one site-keyed valuation per cut through each step's atoms,
+# left to right, and keys the stamps by event.
+
+def reference_stamps(d, lab, clock, valuation) -> dict[Event, object]:
+    assert valuation.keys() == site_types(d.initial).keys()
+    cur = dict(valuation)
+    out = {Event(0, s): v for s, v in cur.items()}
+    for k, step in enumerate(d.steps):
+        nxt = {}
+        for p, atom in step_atoms(step):
+            match atom:
+                case Tick():
+                    nxt[p] = clock.increment(lab[TickRef(k, p)], cur[p])
+                case Fork():
+                    nxt[p + "L"] = nxt[p + "R"] = cur[p]
+                case Join():
+                    nxt[p] = clock.merge(cur[p + "L"], cur[p + "R"])
+                case PermStep(perm):
+                    for a, b in perm.pairs:
+                        nxt[p + b] = cur[p + a]
+        out.update((Event(k + 1, s), v) for s, v in nxt.items())
+        cur = nxt
+    return out
+
+
+def assert_matches_reference(d, lab, clock, v) -> None:
+    want = reference_stamps(d, lab, clock, v)
+    got = timestamp_all(d, lab, clock, v)
+    assert list(got) == list(events(d))
+    assert got == want
+    assert update(d, lab, clock, v) == {s: want[Event(d.n_steps, s)] for s in sites(d.final)}
+
+
+@pytest.mark.parametrize("name", CLOCK_NAMES)
+def test_numbered_sweep_matches_the_reference_on_the_corpus(small_corpus, name):
+    clock = by_name(name)
+    rng = random.Random(11)
+    for d, lab in small_corpus:
+        assert_matches_reference(d, lab, clock, random_valuation(clock, d.initial, rng))
+
+
+@pytest.mark.parametrize("name", CLOCK_NAMES)
+def test_numbered_sweep_matches_the_reference_on_executions(name):
+    clock = by_name(name)
+    for seed in range(40):
+        d, lab, _ = to_diagram(gen_execution(seed, max_processes=5, max_actions=20))
+        assert_matches_reference(d, lab, clock, zero_valuation(clock, d.initial))
+
+
+def test_numbered_sweep_matches_the_reference_on_a_wide_step():
+    n = 3000
+    d = Diagram(tensor([Leaf(A)] * n), (par([Tick(A, A)] * n),))
+    lab = tick_labels(d, [Action(f"p{i % 7}", f"p{i % 5}") for i in range(n)])
+    for name in CLOCK_NAMES:
+        clock = by_name(name)
+        assert_matches_reference(d, lab, clock, random_valuation(clock, d.initial, random.Random(3)))
+
+
+def test_missing_label_names_the_first_unlabeled_tick(diamond):
+    d, lab = diamond
+    c = vector_clock()
+    v = zero_valuation(c, d.initial)
+    for f in (update, timestamp_all):
+        with pytest.raises(ValueError) as info:
+            f(d, {}, c, v)
+        assert str(info.value) == "tick TickRef(step=1, path='L') has no label"
+        only_left = {TickRef(1, "L"): lab[TickRef(1, "L")]}
+        with pytest.raises(ValueError) as info:
+            f(d, only_left, c, v)
+        assert str(info.value) == "tick TickRef(step=1, path='R') has no label"
+    with pytest.raises(ValueError) as info:
+        clock_at(d, {}, c, v, Event(2, "R"))
+    assert str(info.value) == "tick TickRef(step=1, path='L') has no label"
+    # cut 1 lies before both ticks, so no label is read
+    assert clock_at(d, {}, c, v, Event(1, "R")) == c.zero()
+
+
+def test_the_valuation_check_comes_before_the_labels(diamond):
+    d, _ = diamond
+    c = vector_clock()
+    with pytest.raises(ValueError, match="valuation keys"):
+        update(d, {}, c, {})
+
+
+@pytest.mark.parametrize(
+    "d, missing",
+    [
+        (Diagram(Leaf(A), (Join(A, B),)), "'L'"),
+        (Diagram(Tensor(Leaf(A), Leaf(B)), (Tick(A, A),)), "''"),
+    ],
+    ids=["join-on-a-leaf", "tick-on-a-tensor"],
+)
+def test_ill_typed_diagrams_raise_the_tables_error(d, missing):
+    c = vector_clock()
+    v = zero_valuation(c, d.initial)
+    lab = {TickRef(0, ""): Action("p1")}
+    message = f"step 0 reads site {missing}, missing at cut 0"
+    for read in (
+        lambda: update(d, lab, c, v),
+        lambda: timestamp_all(d, lab, c, v),
+        lambda: clock_at(d, lab, c, v, Event(0, sites(d.initial)[0])),
+    ):
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == message

@@ -345,6 +345,49 @@ def test_seq_concat_right_unit(message_flow):
     assert seq_concat(identity(d.initial), d) == d
 
 
+def _wide(n: int, ty=A) -> Diagram:
+    # tensor and par nest to the left, so each tree is as deep as it is wide
+    return Diagram(tensor([Leaf(ty)] * n), (par([Tick(ty, ty)] * n),))
+
+
+def test_wide_diagrams_compare_and_hash_without_recursing():
+    n = 3000
+    a, b = _wide(n), _wide(n)
+    assert a.initial is not b.initial and a.steps[0] is not b.steps[0]
+    assert a == b and hash(a) == hash(b)
+    assert a.initial == b.initial and hash(a.initial) == hash(b.initial)
+    assert a.steps[0] == b.steps[0] and hash(a.steps[0]) == hash(b.steps[0])
+    assert a != _wide(n, B) and a.initial != _wide(n - 1).initial
+    assert a.steps[0] != _wide(n, B).steps[0]
+    assert len({a, b, a.initial, b.initial, a.steps[0], b.steps[0]}) == 3
+
+
+def test_wide_diagrams_compose():
+    n = 3000
+    a = _wide(n)
+    assert seq_extend(a, a.steps[0]).n_steps == 2
+    assert seq_concat(a, _wide(n)) == Diagram(a.initial, a.steps * 2)
+    with pytest.raises(CompositionError):
+        seq_concat(a, _wide(n, B))
+
+
+def test_configurations_with_equal_leaves_but_other_shapes_differ():
+    left = tensor([Leaf(A)] * 3000)
+    right = Tensor(Leaf(A), tensor([Leaf(A)] * 2999))
+    assert sorted(site_types(left).values(), key=str) == sorted(
+        site_types(right).values(), key=str
+    )
+    assert left != right and right != left
+    assert Tensor(tensor([Leaf(A)] * 2999), Leaf(A)) == left
+    assert Tensor(Leaf(A), Leaf(B)) != Tensor(Leaf(B), Leaf(A))
+    assert Tensor(Leaf(A), Leaf(A)) != Leaf(A) and Leaf(A) != Tensor(Leaf(A), Leaf(A))
+    wide = par([Tick(A, A)] * 3000)
+    other = Par(Tick(A, A), par([Tick(A, A)] * 2999))
+    assert wide != other and other != wide
+    assert Par(par([Tick(A, A)] * 2999), Tick(A, A)) == wide
+    assert Par(Tick(A, A), Tick(A, B)) != Par(Tick(A, B), Tick(A, A))
+
+
 def test_seq_concat_counts_steps():
     a = Diagram(Leaf(A), (Tick(A, B), Tick(B, A)))
     b = Diagram(Leaf(A), (Tick(A, C), Tick(C, C)))
