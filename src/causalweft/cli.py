@@ -29,7 +29,6 @@ from .serialize import (
     diagram_from_json,
     diagram_hash,
     diagram_to_json,
-    diagram_to_obj,
     nesting_guard,
     to_canonical_json,
     witness_to_obj,
@@ -253,12 +252,10 @@ def _cmd_gen(args) -> int:
 def _cmd_import_execution(args) -> int:
     x = execution_from_json(_read(args.file))
     d, lab, tick_index = to_diagram(x)
-    with nesting_guard():
-        doc = diagram_to_obj(d, lab)
-        doc["tick_index"] = {
-            a: {"step": r.step, "path": r.path} for a, r in sorted(tick_index.items())
-        }
-        _emit(to_canonical_json(doc), args.out)
+    index = {a: {"path": r.path, "step": r.step} for a, r in tick_index.items()}
+    # canonical: "tick_index" sorts after the document's last key, "steps"
+    text = diagram_to_json(d, lab)[:-1] + ',"tick_index":' + to_canonical_json(index) + "}"
+    _emit(text, args.out)
     return 0
 
 

@@ -199,6 +199,17 @@ class Perm:
     def table(self) -> dict[SiteRef, SiteRef]:
         return dict(self.pairs)
 
+    @cached_property
+    def onto(self) -> Mapping[SiteRef, StateType] | None:
+        """The target's site table if each of its sites is hit by exactly
+        one pair, else None. Worked out once per perm; the builders
+        that check it anyway (`perm_from_table`, `perm_id`, the loader)
+        record it, with the table they hold, as they build
+        (`_keep_onto`)."""
+        targets = site_types(self.target)
+        hit = {t for _, t in self.pairs}
+        return targets if len(hit) == len(self.pairs) and hit == targets.keys() else None
+
     def apply(self, site: SiteRef) -> SiteRef:
         return self.table[site]
 
@@ -252,11 +263,19 @@ def perm_from_table(
     faults = p.faults()
     if faults:
         raise ValueError("bad permutation: " + "; ".join(faults))
+    return _keep_onto(p, site_types(target))
+
+
+def _keep_onto(p: Perm, target_types: Mapping[SiteRef, StateType]) -> Perm:
+    """Record that `p` hits each site of its target, whose site table is
+    `target_types`, once, as its builder checked."""
+    p.__dict__["onto"] = target_types
     return p
 
 
 def perm_id(config: Config) -> Perm:
-    return Perm(config, config, tuple((s, s) for s in sites(config)))
+    types = site_types(config)
+    return _keep_onto(Perm(config, config, tuple((s, s) for s in types)), types)
 
 
 def perm_swap(left: Config, right: Config) -> Perm:

@@ -21,6 +21,12 @@ becomes at most four global steps:
     fork    split each sender's site, leaving the message behind
 
 so a send is tick-then-fork and a receive is join-then-tick. The
+layout is tracked as it goes: a slot's site is read off its group's
+place in the left-nested layout (group i of n sits at L^(n-1-i), then
+R if i > 0) and its place inside the group, so no configuration is
+built to look sites up. The perm is built, with both configurations
+and `perm_from_table`'s full check, only on layers whose group
+sequence changed; an unchanged sequence is the identity route. The
 returned tick index maps each action id to its tick, which is enough
 to read the happens-before relation back off the diagram.
 """
@@ -41,6 +47,7 @@ from .diagram import (
     GlobalStep,
     Join,
     Leaf,
+    Perm,
     PermStep,
     Prod,
     SiteRef,
@@ -50,7 +57,6 @@ from .diagram import (
     par,
     perm_from_table,
     noop,
-    sites,
     tensor,
 )
 from .paths import future_rows, set_bits, tick_numbers
@@ -180,11 +186,31 @@ class _Group(tuple[tuple[_Slot, StateType], ...]):
         return noop(self.config)
 
 
-def _cut(groups: list[_Group]) -> tuple[Config, dict[_Slot, SiteRef]]:
-    """The configuration of a layout and the site of each of its slots."""
-    config = tensor([g.config for g in groups])
-    slots = (slot for g in groups for slot, _ in g)
-    return config, dict(zip(slots, sites(config)))
+def _part_site(i: int, n: int) -> SiteRef:
+    """The path of part i of a left-nested tensor of n parts."""
+    return "L" * (n - 1 - i) + ("R" if i else "")
+
+
+def _slot_sites(groups: list[_Group]) -> dict[_Slot, SiteRef]:
+    """The site of each slot of a layout: its group's place in the
+    left-nested layout, then its own place in the group's configuration."""
+    n = len(groups)
+    return {
+        slot: _part_site(i, n) + _part_site(j, len(g))
+        for i, g in enumerate(groups)
+        for j, (slot, _) in enumerate(g)
+    }
+
+
+def _route(old: list[_Group], new: list[_Group]) -> Perm:
+    """The checked perm that moves each slot from its site in layout
+    `old` to its site in layout `new`."""
+    old_at, at = _slot_sites(old), _slot_sites(new)
+    return perm_from_table(
+        tensor([g.config for g in old]),
+        tensor([g.config for g in new]),
+        {old_at[s]: at[s] for s in old_at},
+    )
 
 
 def _step(
@@ -260,7 +286,7 @@ def to_diagram(
 
         # perm: receivers get their message on the right; everything
         # else in flight moves to the trailing zone, in current order
-        old, old_at = _cut(groups)
+        old = groups
         transit = []
         for g in groups:
             kind, key = g[-1][0]
@@ -274,19 +300,20 @@ def to_diagram(
                 groups[i] = _Group((proc, msg))
                 fused = _Group([(proc[0], Prod(proc[1], msg[1]))])
                 joins[i] = Join(proc[1], msg[1]), fused
-        new, at = _cut(groups)
-        route = perm_from_table(old, new, {old_at[s]: at[s] for s in old_at})
-        if not route.is_identity():
-            steps.append(PermStep(route))
+        # an unchanged group sequence is the identity route
+        if groups != old:
+            route = _route(old, groups)
+            if not route.is_identity():
+                steps.append(PermStep(route))
 
         # join: fuse each (receiver, message) pair
         if joins:
             steps.append(_step(groups, joins))
-            at = _cut(groups)[1]
 
         # tick: every action of the layer; fork: each sender leaves its
         # message behind
         ticks, forks = {}, {}
+        n = len(groups)
         for i, a in acting.items():
             ((slot, in_ty),) = groups[i]
             out = home[i]
@@ -295,7 +322,7 @@ def to_diagram(
                 out = _Group([(slot, Prod(proc[1], msg[1]))])
                 forks[i] = Fork(proc[1], msg[1]), _Group((proc, msg))
             ticks[i] = Tick(in_ty, out[0][1]), out
-            tick_index[a] = TickRef(len(steps), at[slot])
+            tick_index[a] = TickRef(len(steps), _part_site(i, n))
             lab[tick_index[a]] = x.actions[a]
         steps.append(_step(groups, ticks))
         if forks:

@@ -30,6 +30,7 @@ from .diagram import (
     Fork,
     GlobalStep,
     Join,
+    Perm,
     PermStep,
     SiteRef,
     Tick,
@@ -136,12 +137,16 @@ def _tables(d: Diagram) -> _Tables:
     """The derived tables of `d`, built on first use by one walk of each
     step's atoms and kept in the instance's own __dict__, so they are
     freed with the diagram. Raises ValueError if a step reads a site
-    its cut lacks, or takes one nowhere in the next cut."""
+    its cut lacks, takes one nowhere in the next cut, or has a perm that
+    hits a site of the next cut twice or never."""
     tables = d.__dict__.get(_TABLES)
     if tables is not None:
         return tables
     here = {s: i for i, s in enumerate(site_types(d.initial))}
     numbers, successors, ticks, n = [here], [], {}, len(here)
+    # perms that miss a target site or hit one twice, reported after
+    # the step's own faults
+    faulty: list[tuple[str, Perm]] = []
     try:
         for k, step in enumerate(d.steps):
             # atoms come left to right with prefix-free paths, so the
@@ -160,7 +165,11 @@ def _tables(d: Diagram) -> _Tables:
                         out[here[p + "L"] - base] = out[here[p + "R"] - base] = (j,)
                         nxt[p] = j
                     case PermStep(perm):
-                        for b in site_types(perm.target):
+                        targets = perm.onto
+                        if targets is None:
+                            targets = site_types(perm.target)
+                            faulty.append((p, perm))
+                        for b in targets:
                             nxt[p + b] = n + len(nxt)
                         for a, b in perm.pairs:
                             i = here[p + a] - base
@@ -172,6 +181,8 @@ def _tables(d: Diagram) -> _Tables:
             if None in out or (None,) in out:  # unread, or sent off the tree
                 s = next(s for s in here if out[here[s] - base] in (None, (None,)))
                 raise ValueError(f"step {k} takes site {s!r} of cut {k} nowhere")
+            if faulty:
+                _raise_not_onto(*faulty[0], k)
             successors += out
             numbers.append(nxt)
             here, n = nxt, n + len(nxt)
@@ -179,6 +190,18 @@ def _tables(d: Diagram) -> _Tables:
         raise ValueError(f"step {k} reads site {missing}, missing at cut {k}") from None
     successors += [()] * len(here)
     return d.__dict__.setdefault(_TABLES, _Tables(tuple(numbers), tuple(successors), ticks))
+
+
+def _raise_not_onto(p: str, perm: Perm, k: int) -> None:
+    """Name the first target site of a perm at path `p` of step k that
+    it hits twice or, failing that, never."""
+    seen = set()
+    for _, b in perm.pairs:
+        if b in seen:
+            raise ValueError(f"step {k} sends two sites to {p + b!r} of cut {k + 1}")
+        seen.add(b)
+    b = min(site_types(perm.target).keys() - seen)
+    raise ValueError(f"step {k} sends no site to {p + b!r} of cut {k + 1}")
 
 
 def cut_numbers(d: Diagram) -> tuple[Mapping[SiteRef, int], ...]:

@@ -8,7 +8,6 @@ each cut as a rule of site columns with the step's actions between.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Iterator, Mapping
 
 from .clocks import Action
@@ -24,7 +23,7 @@ from .diagram import (
     site_types,
     step_atoms,
 )
-from .paths import events, step_successors
+from .paths import cut_numbers, step_successors, tick_outputs
 
 
 def _q(name: str) -> str:
@@ -41,27 +40,30 @@ def _action_text(value) -> str:
 
 def to_dot(d: Diagram, lab: Mapping[TickRef, Action] | None = None) -> str:
     """Graphviz source for the event graph: one node per event, one edge
-    per step edge (`step_successors`); tick edges carry their label."""
-    tick_edges = {}
+    per step edge (`step_successors`); an edge into a tick's output
+    event (`tick_outputs`) carries the tick's label, if it has one."""
+    labels = {}
     if lab:
-        for ref, value in lab.items():
-            tick_edges[(ref.step, ref.path, ref.path)] = _action_text(value)
+        at = {(ref.step, ref.path): value for ref, value in lab.items()}
+        for j, ref in tick_outputs(d).items():
+            if ref in at:
+                labels[j] = _q(_action_text(at[ref]))
     lines = [
         "digraph diagram {",
         "  rankdir=TB;",
         "  node [shape=box, fontsize=10];",
     ]
-    evs = events(d)
-    names = [_q(str(e)) for e in evs]
-    for _, rank in groupby(range(len(evs)), lambda i: evs[i].cut):
-        lines.append("  { rank=same; " + " ".join(names[i] + ";" for i in rank) + " }")
-    for i, (e, succ) in enumerate(zip(evs, step_successors(d))):
+    names = []
+    for t, here in enumerate(cut_numbers(d)):
+        rank = [_q(f"{t}:{s or '.'}") for s in here]
+        lines.append("  { rank=same; " + " ".join(name + ";" for name in rank) + " }")
+        names += rank
+    for i, succ in enumerate(step_successors(d)):
         for j in succ:
-            edge = f"  {names[i]} -> {names[j]}"
-            label = tick_edges.get((e.cut, e.site, evs[j].site))
-            if label is not None:
-                edge += f" [label={_q(label)}]"
-            lines.append(edge + ";")
+            if j in labels:
+                lines.append(f"  {names[i]} -> {names[j]} [label={labels[j]}];")
+            else:
+                lines.append(f"  {names[i]} -> {names[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

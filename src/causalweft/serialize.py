@@ -30,27 +30,37 @@ passes through as plain JSON.
 
 Printing is canonical (sorted keys, no whitespace, labels sorted by
 step then path), so parse-then-print is byte-stable and documents can
-be hashed.
+be hashed. `diagram_to_json` writes that text straight from the
+diagram in one pass (`_Writer`): the bytes are those of `json.dumps`
+with sorted keys over the document's JSON value, but no such value is
+built, and each shared node (an idle hold, an atom) is written once.
 
-The stdlib `json` module and the tree walks here recurse once per
-level of nesting, so a document nested deeper than the recursion limit
-(about 1000 levels; a configuration or type adds two per node) is
-rejected with a SchemaError, not a RecursionError (`nesting_guard`).
-A perm's target is rebuilt from its flat table with an explicit stack,
-so it may nest deeper than that.
+Reading recurses: the stdlib `json` parse and the reader's walks go
+once per level of nesting, so a document nested deeper than the
+recursion limit (about 1000 levels; a configuration or type adds two
+per node) is rejected with a SchemaError, not a RecursionError
+(`nesting_guard`). A perm's target is rebuilt from its flat table with
+an explicit stack, so it may nest deeper than that. Writing uses
+explicit stacks and refuses, with the same SchemaError, a document
+nested more than the recursion limit less 100 levels (900 by default,
+a left-nested tensor of 449 sites), the room left for the frames the
+reader runs under, so it writes nothing the reader cannot read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from bisect import bisect_left
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _string
 from typing import Any, Iterator, Mapping
 
 from .clocks import Action
 from .diagram import (
     Atom,
+    AtomicStep,
     Config,
     Diagram,
     Fault,
@@ -67,6 +77,7 @@ from .diagram import (
     Tick,
     TickRef,
     _keep_faults,
+    _keep_onto,
     check_boundary,
     site_types,
 )
@@ -79,9 +90,9 @@ class SchemaError(ValueError):
 
 @contextmanager
 def nesting_guard() -> Iterator[None]:
-    """Read or write one JSON document: a RecursionError inside becomes
-    a SchemaError. Used only where documents cross the JSON boundary,
-    so a recursion bug elsewhere still surfaces as itself."""
+    """Read one JSON document: a RecursionError inside becomes a
+    SchemaError. Used only where documents cross the JSON boundary, so
+    a recursion bug elsewhere still surfaces as itself."""
     try:
         yield
     except RecursionError:
@@ -91,26 +102,8 @@ def nesting_guard() -> Iterator[None]:
 # ---------------------------------------------------------------------------
 # types and configurations
 
-def type_to_obj(ty: StateType) -> dict:
-    match ty:
-        case Atom(name):
-            return {"atom": name}
-        case Prod(left, right):
-            return {"prod": [type_to_obj(left), type_to_obj(right)]}
-    raise TypeError(f"not a state type: {ty!r}")
-
-
 def type_from_obj(obj: Any) -> StateType:
     return _Reader().type(obj)
-
-
-def config_to_obj(config: Config) -> dict:
-    match config:
-        case Leaf(ty):
-            return {"leaf": type_to_obj(ty)}
-        case Tensor(left, right):
-            return {"tensor": [config_to_obj(left), config_to_obj(right)]}
-    raise TypeError(f"not a configuration: {config!r}")
 
 
 def config_from_obj(obj: Any) -> Config:
@@ -119,21 +112,6 @@ def config_from_obj(obj: Any) -> Config:
 
 # ---------------------------------------------------------------------------
 # steps
-
-def step_to_obj(step: GlobalStep) -> dict:
-    match step:
-        case Tick(in_ty, out_ty):
-            return {"tick": {"in": type_to_obj(in_ty), "out": type_to_obj(out_ty)}}
-        case Fork(l, r):
-            return {"fork": {"l": type_to_obj(l), "r": type_to_obj(r)}}
-        case Join(l, r):
-            return {"join": {"l": type_to_obj(l), "r": type_to_obj(r)}}
-        case PermStep(perm):
-            return {"perm": {"table": dict(perm.pairs)}}
-        case Par(left, right):
-            return {"par": [step_to_obj(left), step_to_obj(right)]}
-    raise TypeError(f"not a step: {step!r}")
-
 
 def _site_ok(s: Any) -> bool:
     return isinstance(s, str) and not s.strip("LR")
@@ -222,12 +200,15 @@ class _Reader:
         if len(set(table.values())) != len(table):
             raise SchemaError(f"perm table is not injective: {table!r}")
         if all(s == t for s, t in table.items()):
-            target = context
+            target, target_types = context, types
         else:
+            # the value paths, sorted, are the target's sites in order
             back = {t: s for s, t in table.items()}
-            target = self.target(sorted(back), lambda p: types[back[p]])
+            target_types = {p: types[back[p]] for p in sorted(back)}
+            target = self.target(list(target_types), target_types.__getitem__)
         pairs = tuple(sorted(table.items()))
-        step = self.perms[key] = PermStep(Perm(context, target, pairs))
+        perm = _keep_onto(Perm(context, target, pairs), target_types)
+        step = self.perms[key] = PermStep(perm)
         return step
 
     def target(self, paths: list[str], type_of) -> Config:
@@ -332,15 +313,8 @@ def label_value_from_obj(obj: Any) -> Any:
 # documents
 
 def diagram_to_obj(d: Diagram, lab: Mapping[TickRef, Any] | None = None) -> dict:
-    labels = [
-        {"step": r.step, "path": r.path, "value": label_value_to_obj(v)}
-        for r, v in sorted((lab or {}).items())
-    ]
-    return {
-        "initial": config_to_obj(d.initial),
-        "steps": [step_to_obj(s) for s in d.steps],
-        "labels": labels,
-    }
+    """The canonical document as a JSON value (`diagram_to_json`, parsed)."""
+    return json.loads(diagram_to_json(d, lab))
 
 
 def diagram_from_obj(obj: Any) -> tuple[Diagram, dict[TickRef, Any]]:
@@ -383,9 +357,164 @@ def to_canonical_json(obj: Any) -> str:
 
 
 def diagram_to_json(d: Diagram, lab: Mapping[TickRef, Any] | None = None) -> str:
-    """Canonical one-line document; parse-then-print reproduces it."""
-    with nesting_guard():
-        return to_canonical_json(diagram_to_obj(d, lab))
+    """Canonical one-line document; parse-then-print reproduces it.
+    Raises SchemaError for a document nested deeper than the reader
+    takes (`_Writer`)."""
+    w = _Writer()
+    initial = w.text(d.initial, w.room - 1)
+    steps = ",".join([w.text(step, w.room - 2) for step in d.steps])
+    labels = ",".join([w.label(r, v) for r, v in sorted((lab or {}).items())])
+    return '{"initial":' + initial + ',"labels":[' + labels + '],"steps":[' + steps + "]}"
+
+
+class _Writer:
+    """One call's canonical text, freed with it: what `json.dumps` with
+    sorted keys and no whitespace makes of the document's JSON value,
+    written straight from the diagram with explicit stacks.
+
+    Types, leaves and atomic steps are written once each and kept by id
+    with their nesting depth: the diagram keeps every node alive for
+    the call, and most of them are shared (idle holds, atoms). Tensors
+    and parallel steps, which `tensor` and `par` nest to the left, are
+    written as they are met, down each left spine at once.
+
+    A document is refused with the reader's SchemaError when it nests
+    more than `room` JSON levels: the reader's `json` parse and walks
+    recurse once per level, under the frames of whatever called them,
+    so 100 levels of the recursion limit are left for those."""
+
+    __slots__ = ("terms", "room")
+
+    def __init__(self) -> None:
+        self.terms: dict[int, tuple[str, int]] = {}
+        self.room = sys.getrecursionlimit() - 100
+
+    def text(self, root: Config | GlobalStep, room: int) -> str:
+        """The text of a configuration or step that may nest `room` levels."""
+        terms, out, deepest = self.terms, [], 0
+        todo: list[Any] = [(root, 0)]  # texts, and (node, levels above it)
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            node, above = item
+            cls = type(node)
+            if cls is Par or cls is Tensor:
+                # the k nodes of the left spine open together; each closes
+                # after its right part
+                k = 0
+                while type(node) is cls:
+                    k += 1
+                    right = node.right
+                    if type(right) is cls:
+                        todo += ("]}", (right, above + 2 * k), ",")
+                    else:
+                        text, depth = terms.get(id(right)) or self.term(right)
+                        deepest = max(deepest, above + 2 * k + depth)
+                        todo.append("," + text + "]}")
+                    node = node.left
+                if above + 2 * k > room:
+                    raise SchemaError("document nests too deeply")
+                out.append(('{"par":[' if cls is Par else '{"tensor":[') * k)
+                todo.append((node, above + 2 * k))
+            else:
+                text, depth = terms.get(id(node)) or self.term(node)
+                deepest = max(deepest, above + depth)
+                out.append(text)
+        if deepest > room:
+            raise SchemaError("document nests too deeply")
+        return "".join(out)
+
+    def term(self, root: StateType | Leaf | AtomicStep) -> tuple[str, int]:
+        """The text and nesting depth of a type, a leaf or an atomic
+        step; each node's children are written before it."""
+        terms = self.terms
+        todo = [root]
+        while todo:
+            node = todo[-1]
+            if id(node) in terms:
+                todo.pop()
+                continue
+            cls = type(node)
+            if cls is Atom:
+                terms[id(node)] = '{"atom":' + _string(node.name) + "}", 1
+            elif cls is PermStep:
+                # as `dict(perm.pairs)` with sorted keys: the last pair wins
+                table = sorted(dict(node.perm.pairs).items())
+                entries = ",".join([_string(s) + ":" + _string(t) for s, t in table])
+                terms[id(node)] = '{"perm":{"table":{' + entries + "}}}", 3
+            elif cls is Leaf:
+                ty = terms.get(id(node.ty))
+                if ty is None:
+                    todo.append(node.ty)
+                    continue
+                terms[id(node)] = '{"leaf":' + ty[0] + "}", ty[1] + 1
+            else:
+                # a binary node: its two parts and the text around them
+                if cls is Prod:
+                    a, b = node.left, node.right
+                    head, mid, tail = '{"prod":[', ",", "]}"
+                elif cls is Tick:
+                    a, b = node.in_ty, node.out_ty
+                    head, mid, tail = '{"tick":{"in":', ',"out":', "}}"
+                elif cls is Fork:
+                    a, b = node.left_ty, node.right_ty
+                    head, mid, tail = '{"fork":{"l":', ',"r":', "}}"
+                elif cls is Join:
+                    a, b = node.left_ty, node.right_ty
+                    head, mid, tail = '{"join":{"l":', ',"r":', "}}"
+                else:
+                    raise TypeError(f"not a type, configuration or step: {node!r}")
+                left, right = terms.get(id(a)), terms.get(id(b))
+                if left is None or right is None:
+                    if right is None:
+                        todo.append(b)
+                    if left is None:
+                        todo.append(a)
+                    continue
+                depth = max(left[1], right[1]) + 2
+                if depth > self.room:
+                    raise SchemaError("document nests too deeply")
+                terms[id(node)] = head + left[0] + mid + right[0] + tail, depth
+            todo.pop()
+        return terms[id(root)]
+
+    def label(self, ref: TickRef, value: Any) -> str:
+        """The text of one label entry, nested three levels down."""
+        if (
+            isinstance(value, Action)
+            and type(value.actor) is str
+            and (value.target is None or type(value.target) is str)
+        ):
+            text = '{"actor":' + _string(value.actor)
+            if value.target is not None:
+                text += ',"target":' + _string(value.target)
+            text += "}"
+        else:
+            obj = label_value_to_obj(value)
+            _check_nesting(obj, self.room - 3)
+            text = to_canonical_json(obj)
+        step = str(ref.step) if type(ref.step) is int else to_canonical_json(ref.step)
+        return '{"path":' + _string(ref.path) + ',"step":' + step + ',"value":' + text + "}"
+
+
+def _check_nesting(value: Any, room: int) -> None:
+    """Raise the reader's SchemaError if a JSON value nests lists and
+    objects more than `room` levels deep; an explicit stack, so the
+    check itself is not bounded by the recursion limit."""
+    todo = [(value, 1)]
+    while todo:
+        node, level = todo.pop()
+        if isinstance(node, dict):
+            parts = node.values()
+        elif isinstance(node, (list, tuple)):
+            parts = node
+        else:
+            continue
+        if level > room:
+            raise SchemaError("document nests too deeply")
+        todo += ((part, level + 1) for part in parts)
 
 
 def diagram_from_json(text: str) -> tuple[Diagram, dict[TickRef, Any]]:

@@ -17,6 +17,7 @@ from causalweft.diagram import (
     Tensor,
     Tick,
     TickRef,
+    noop,
     perm_swap,
 )
 from causalweft.lamport import execution_to_obj
@@ -150,6 +151,28 @@ def test_render_ascii_to_file(flow_file, tmp_path, capsys):
     assert main(["render", flow_file, "--format", "ascii", "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text(encoding="utf-8").startswith("---- cut 0 ----")
+
+
+def test_render_draws_no_label_that_names_a_non_tick(tmp_path, capsys):
+    # the loader keeps labels on a fork and on a hold; `validate`
+    # reports them, and render draws their edges bare
+    d = Diagram(Leaf(Prod(A, A)), (Fork(A, A), Par(Tick(A, A), noop(Leaf(A)))))
+    lab = {
+        TickRef(0, ""): Action("p9"),
+        TickRef(1, "L"): Action("p1"),
+        TickRef(1, "R"): Action("p8"),
+    }
+    path = write(tmp_path, "stray.json", diagram_to_json(d, lab))
+    assert main(["render", path]) == 0
+    out = capsys.readouterr().out
+    assert '  "0:." -> "1:L";\n  "0:." -> "1:R";\n' in out
+    assert '  "1:L" -> "2:L" [label="p1"];\n  "1:R" -> "2:R";\n' in out
+    assert "p9" not in out and "p8" not in out
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out == (
+        "label at TickRef(step=0, path='') names no tick\n"
+        "label at TickRef(step=1, path='R') names no tick\n"
+    )
 
 
 def test_render_refuses_invalid_diagrams(tmp_path, capsys):

@@ -25,6 +25,7 @@ from causalweft.diagram import (
     Fork,
     Join,
     Leaf,
+    Perm,
     PermStep,
     Tensor,
     Tick,
@@ -424,6 +425,24 @@ def test_the_valuation_check_comes_before_the_labels(diamond):
     c = vector_clock()
     with pytest.raises(ValueError, match="valuation keys"):
         update(d, {}, c, {})
+
+
+def test_a_perm_that_misses_a_target_site_is_an_error():
+    # built in code: L and R both land on L, so R of cut 1 would get no
+    # stamp at all
+    pair = Tensor(Leaf(A), Leaf(A))
+    d = Diagram(pair, (PermStep(Perm(pair, pair, (("L", "L"), ("R", "L")))),))
+    c = vector_clock()
+    v = zero_valuation(c, pair)
+    for read in (
+        lambda: update(d, {}, c, v),
+        lambda: timestamp_all(d, {}, c, v),
+        lambda: clock_at(d, {}, c, v, Event(1, "R")),
+        lambda: clock_at(d, {}, c, v, Event(0, "L")),
+    ):
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == "step 0 sends two sites to 'L' of cut 1"
 
 
 @pytest.mark.parametrize(

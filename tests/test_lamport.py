@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import pytest
@@ -7,6 +8,7 @@ from causalweft.clocks import Action, by_name
 from causalweft.diagram import (
     Atom,
     Diagram,
+    Fork,
     GlobalStep,
     Join,
     Leaf,
@@ -17,6 +19,7 @@ from causalweft.diagram import (
     cut_configs,
     labeling_faults,
     n_sites,
+    step_atoms,
     ticks,
     validate,
 )
@@ -184,6 +187,43 @@ def test_ping_compiles_to_the_factored_form():
     assert n_sites(d.final) == 2
     assert labeling_faults(d, lab) == []
     assert lab[tick_index["a1"]] == Action("p1", "p2")
+
+
+def step_kind(step: GlobalStep) -> str:
+    """The one kind of atom a compiled step runs beside its holds: p(erm),
+    j(oin), t(ick) or f(ork)."""
+    kinds = {
+        type(atom)
+        for _, atom in step_atoms(step)
+        if not (isinstance(atom, PermStep) and atom.perm.is_identity())
+    }
+    assert len(kinds) == 1, kinds
+    return {PermStep: "p", Join: "j", Tick: "t", Fork: "f"}[kinds.pop()]
+
+
+def compile_cases():
+    yield "ping", PING
+    yield "400 processes", make_execution({f"p{i}": (f"a{i}",) for i in range(400)})
+    for seed in range(50):
+        yield f"seed {seed}", gen_execution(seed, max_processes=8, max_actions=100)
+
+
+def test_each_layer_compiles_to_at_most_four_steps():
+    layers = 0
+    for name, x in compile_cases():
+        d, _, tick_index = to_diagram(x)
+        # no emitted route is an identity perm
+        assert not any(
+            isinstance(s, PermStep) and s.perm.is_identity() for s in d.steps
+        ), name
+        # each layer is perm?, join?, tick, fork? in that order, one tick
+        # step per layer
+        kinds = "".join(step_kind(s) for s in d.steps)
+        assert re.fullmatch("(p?j?tf?)*", kinds), (name, kinds)
+        assert len({r.step for r in tick_index.values()}) == kinds.count("t"), name
+        assert derived_order(d, tick_index) == hb_closure(x), name
+        layers += kinds.count("t")
+    assert layers > 1000
 
 
 def test_ping_round_trips_its_order():

@@ -99,6 +99,38 @@ def test_a_perm_that_sends_a_site_twice_gets_no_order():
         event_order_pairs(d)
 
 
+@pytest.mark.parametrize(
+    "target, pairs, message",
+    [
+        # L and R both land on L, so nothing lands on R
+        ("pair", (("L", "L"), ("R", "L")), "^step 1 sends two sites to 'L' of cut 2$"),
+        # a wider target: every pair lands once, but LR is never hit
+        ("wide", (("L", "LL"), ("R", "R")), "^step 1 sends no site to 'LR' of cut 2$"),
+    ],
+)
+def test_a_perm_that_misses_a_target_site_gets_no_order(target, pairs, message):
+    pair = Tensor(Leaf(A), Leaf(A))
+    wide = Tensor(pair, Leaf(A))
+    bad = Perm(pair, {"pair": pair, "wide": wide}[target], pairs)
+    d = Diagram(pair, (noop(pair), PermStep(bad), noop(bad.target)))
+    for query in (
+        lambda: events(d),
+        lambda: event_order_pairs(d),
+        lambda: to_dot(d),
+        lambda: check_order_laws(d),
+    ):
+        with pytest.raises(ValueError, match=message):
+            query()
+
+
+def test_a_shared_perm_is_checked_where_it_first_runs():
+    pair = Tensor(Leaf(A), Leaf(A))
+    bad = PermStep(Perm(pair, pair, (("L", "L"), ("R", "L"))))
+    d = Diagram(Tensor(pair, pair), (Par(noop(pair), bad), Par(bad, bad)))
+    with pytest.raises(ValueError, match="^step 0 sends two sites to 'RL' of cut 1$"):
+        events(d)
+
+
 def test_event_str():
     assert str(Event(2, "RL")) == "2:RL"
     assert str(Event(0, "")) == "0:."

@@ -9,9 +9,11 @@ from causalweft.diagram import (
     Fork,
     Leaf,
     Prod,
+    Tick,
     TickRef,
     cut_configs,
     identity,
+    noop,
     sites,
 )
 from causalweft.paths import step_relation
@@ -85,6 +87,21 @@ def test_actor_only_label_text(two_tick):
     dot = to_dot(d, lab)
     assert '[label="p1"]' in dot
     assert '[label="checkpoint"]' in dot
+
+
+def test_a_label_on_a_hold_draws_no_tick():
+    d = Diagram(Leaf(A), (noop(Leaf(A)),))
+    dot = render(d, {TickRef(0, ""): Action("p1")}, "dot")
+    assert '  "0:." -> "1:.";\n' in dot
+    assert "label=" not in dot
+    # only the tick's edge is labeled, although the perm that follows
+    # keeps the tick's site
+    d = Diagram(Leaf(A), (Tick(A, A), noop(Leaf(A))))
+    lab = {TickRef(0, ""): Action("p1"), TickRef(1, ""): Action("p2")}
+    dot = to_dot(d, lab)
+    assert '  "0:." -> "1:." [label="p1"];\n' in dot
+    assert '  "1:." -> "2:.";\n' in dot
+    assert "p2" not in dot
 
 
 def test_ascii_layout(message_flow):

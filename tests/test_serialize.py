@@ -5,6 +5,8 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 from conftest import corpus_params
+from reference_json import config_to_obj, reference_json, type_to_obj
+from test_golden import compiled_executions
 
 from causalweft.clocks import Action
 from causalweft.diagram import (
@@ -12,6 +14,7 @@ from causalweft.diagram import (
     Diagram,
     Leaf,
     Par,
+    Perm,
     PermStep,
     Prod,
     Tensor,
@@ -22,12 +25,12 @@ from causalweft.diagram import (
     tensor,
     validate,
 )
+from causalweft.lamport import to_diagram
 from causalweft.paths import PathWitness
 from causalweft.verify import gen_diagram
 from causalweft.serialize import (
     SchemaError,
     config_from_obj,
-    config_to_obj,
     diagram_from_json,
     diagram_from_obj,
     diagram_hash,
@@ -36,7 +39,6 @@ from causalweft.serialize import (
     step_from_obj,
     to_canonical_json,
     type_from_obj,
-    type_to_obj,
     witness_from_obj,
     witness_to_obj,
 )
@@ -97,6 +99,99 @@ def test_labels_without_target_and_plain_values():
     assert lab2[TickRef(0, "")] == Action("p1")
     assert lab2[TickRef(0, "")].target is None
     assert lab2[TickRef(1, "")] == "checkpoint"
+
+
+# ---------------------------------------------------------------------------
+# the writer against the recursive reference encoder
+
+def test_the_writer_matches_the_reference_on_the_corpus(corpus):
+    for d, lab in corpus:
+        assert diagram_to_json(d, lab) == reference_json(d, lab)
+
+
+def test_the_writer_matches_the_reference_on_compiled_executions():
+    for x in compiled_executions():
+        d, lab, _ = to_diagram(x)
+        text = diagram_to_json(d, lab)
+        assert text == reference_json(d, lab)
+        # a loaded document shares its equal terms; the bytes stay
+        assert diagram_to_json(*diagram_from_json(text)) == text
+
+
+def test_the_writer_escapes_names_as_json_does():
+    names = [
+        "\u00e9t\u00e9",
+        'say "hi"',
+        "back\\slash",
+        "tab\tnew\nline",
+        "\u2028\U0001f600",
+        "\x00",
+    ]
+    ty = Prod(Atom(names[0]), Atom(names[1]))
+    d = Diagram(
+        tensor([Leaf(Atom(n)) for n in names[2:]] + [Leaf(ty)]),
+        (Par(noop(tensor([Leaf(Atom(n)) for n in names[2:]])), Tick(ty, Atom(names[5]))),),
+    )
+    lab = {TickRef(0, "R"): Action(names[1], names[0])}
+    text = diagram_to_json(d, lab)
+    assert text == reference_json(d, lab)
+    assert text.isascii()
+    assert diagram_from_json(text) == (d, lab)
+
+
+def test_the_writer_matches_the_reference_on_plain_label_values():
+    d = Diagram(Leaf(A), (Tick(A, A),) * 7)
+    values = [
+        None,
+        [[1, [2, [None]]], []],
+        {"z": [True, False], "a": {"y": 1.5, "b": "\u00e9"}},
+        "checkpoint",
+        -3,
+        Action(3, "p1"),
+        Action(("p", 1)),
+    ]
+    lab = {TickRef(k, ""): v for k, v in enumerate(values)}
+    assert diagram_to_json(d, lab) == reference_json(d, lab)
+    # the reader takes all but the list-valued actor back
+    del lab[TickRef(6, "")]
+    assert diagram_from_json(diagram_to_json(d, lab))[1] == lab
+
+
+def test_the_writer_matches_dict_of_a_perm_built_in_code():
+    pair = Tensor(Leaf(A), Leaf(A))
+    # unsorted, and R repeated: the table keeps its last target
+    perm = Perm(pair, pair, (("R", "R"), ("L", "R"), ("R", "L")))
+    d = Diagram(pair, (PermStep(perm),))
+    text = diagram_to_json(d)
+    assert text == reference_json(d)
+    assert '{"perm":{"table":{"L":"R","R":"L"}}}' in text
+
+
+def test_the_widest_tensor_the_writer_takes_loads_back():
+    def write(n):
+        return diagram_to_json(Diagram(tensor([Leaf(A)] * n), ()))
+
+    lo, hi = 2, 3000  # write(lo) succeeds, write(hi) is refused
+    with pytest.raises(SchemaError, match="^document nests too deeply$"):
+        write(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            write(mid)
+            lo = mid
+        except SchemaError:
+            hi = mid
+    text = write(lo)
+    d, _ = diagram_from_json(text)
+    assert len(sites(d.initial)) == lo and diagram_to_json(d) == text
+    with pytest.raises(SchemaError, match="^document nests too deeply$"):
+        write(lo + 1)
+    # the depth of a label value counts too
+    deep = None
+    for _ in range(3000):
+        deep = [deep]
+    with pytest.raises(SchemaError, match="^document nests too deeply$"):
+        diagram_to_json(Diagram(Leaf(A), (Tick(A, A),)), {TickRef(0, ""): deep})
 
 
 def test_canonical_json_is_key_sorted():
