@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterator, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -343,7 +343,7 @@ class Par:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Par):
             return NotImplemented
-        return self is other or list(step_atoms(self)) == list(step_atoms(other))
+        return self is other or step_atoms(self) == step_atoms(other)
 
     def __hash__(self) -> int:
         return hash(tuple(step_atoms(self)))
@@ -413,20 +413,22 @@ def step_output(step: GlobalStep) -> Config:
     return _step_end(step, _atom_output)
 
 
-def step_atoms(step: GlobalStep) -> Iterator[tuple[str, AtomicStep]]:
+def step_atoms(step: GlobalStep) -> list[tuple[str, AtomicStep]]:
     """The atomic actions of a step with their paths in its tree, in
-    left-to-right order. One walk with an explicit stack, so wide
-    parallel steps are not bounded by the recursion limit."""
-    stack = [(step, "")]
+    left-to-right order, as a list: every caller reads all of them. One
+    walk with an explicit stack, so wide parallel steps are not bounded
+    by the recursion limit."""
+    out, stack = [], [(step, "")]
     while stack:
         node, path = stack.pop()
         if isinstance(node, Par):
             stack.append((node.right, path + "R"))
             stack.append((node.left, path + "L"))
         elif isinstance(node, (Tick, Fork, Join, PermStep)):
-            yield path, node
+            out.append((path, node))
         else:
             raise TypeError(f"not a step: {node!r}")
+    return out
 
 
 def par(steps: Sequence[GlobalStep]) -> GlobalStep:

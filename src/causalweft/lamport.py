@@ -24,11 +24,11 @@ so a send is tick-then-fork and a receive is join-then-tick. The
 layout is tracked as it goes: a slot's site is read off its group's
 place in the left-nested layout (group i of n sits at L^(n-1-i), then
 R if i > 0) and its place inside the group, so no configuration is
-built to look sites up. The perm is built, with both configurations
-and `perm_from_table`'s full check, only on layers whose group
-sequence changed; an unchanged sequence is the identity route. The
-returned tick index maps each action id to its tick, which is enough
-to read the happens-before relation back off the diagram.
+built to look sites up. The perm is built only on layers whose group
+sequence changed, and checked against the two slot maps, which also
+give its target's site table; an unchanged sequence is the identity
+route. The returned tick index maps each action id to its tick, which
+is enough to read the happens-before relation back off the diagram.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ from .diagram import (
     StateType,
     Tick,
     TickRef,
-    par,
-    perm_from_table,
+    _keep_onto,
     noop,
+    par,
     tensor,
 )
 from .paths import future_rows, set_bits, tick_numbers
@@ -191,26 +191,35 @@ def _part_site(i: int, n: int) -> SiteRef:
     return "L" * (n - 1 - i) + ("R" if i else "")
 
 
-def _slot_sites(groups: list[_Group]) -> dict[_Slot, SiteRef]:
-    """The site of each slot of a layout: its group's place in the
-    left-nested layout, then its own place in the group's configuration."""
+def _slot_sites(groups: list[_Group]) -> dict[_Slot, tuple[SiteRef, StateType]]:
+    """The site and type of each slot of a layout, in site order: its
+    group's place in the left-nested layout, then its own place in the
+    group's configuration."""
     n = len(groups)
     return {
-        slot: _part_site(i, n) + _part_site(j, len(g))
+        slot: (_part_site(i, n) + _part_site(j, len(g)), ty)
         for i, g in enumerate(groups)
-        for j, (slot, _) in enumerate(g)
+        for j, (slot, ty) in enumerate(g)
     }
 
 
 def _route(old: list[_Group], new: list[_Group]) -> Perm:
-    """The checked perm that moves each slot from its site in layout
-    `old` to its site in layout `new`."""
+    """The perm moving each slot from its site in layout `old` to its site
+    in `new`, which must hold the same slots, once each, of the same
+    types. The maps list sites in order: the pairs come sorted, and the
+    new map is the target's site table."""
     old_at, at = _slot_sites(old), _slot_sites(new)
-    return perm_from_table(
+    if old_at.keys() != at.keys() or not len(at) == sum(map(len, old)) == sum(map(len, new)):
+        raise ValueError("bad permutation: the layouts do not hold the same slots once each")
+    for slot, (_, ty) in old_at.items():
+        if at[slot][1] != ty:
+            raise ValueError(f"bad permutation: slot {slot!r}:{ty} changes type")
+    perm = Perm(
         tensor([g.config for g in old]),
         tensor([g.config for g in new]),
-        {old_at[s]: at[s] for s in old_at},
+        tuple((site, at[slot][0]) for slot, (site, _) in old_at.items()),
     )
+    return _keep_onto(perm, dict(at.values()))
 
 
 def _step(

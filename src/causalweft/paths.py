@@ -8,14 +8,14 @@ order is their existence.
 
 Every order query reads one table of closure rows. Events are numbered
 by (cut, site), their sort order, and row i is the bitmask of the
-events event i can influence, itself included. One walk of each step's
-atoms numbers the events, lists each one's one-step successors, which
-all carry higher numbers, and records each tick's output event. The
-rows come from one sweep down the numbers, each the event's own bit
-or-ed with its successors' rows (cf. Purdom 1970, "A transitive
-closure algorithm"). The tables live on the diagram instance and are
-freed with it. The rows are built by the first order query, so
-validating, rendering and timestamping never pay.
+events event i can influence, itself included. One pass over each
+step's atoms, by exact class, numbers the events, lists each one's
+one-step successors, which all carry higher numbers, and records each
+tick's output event. The rows come from one sweep down the numbers,
+each the event's own bit or-ed with its successors' rows (cf. Purdom
+1970, "A transitive closure algorithm"). The tables live on the
+diagram instance and are freed with it. The first order query builds
+the rows, so validating, rendering and timestamping never pay.
 """
 
 from __future__ import annotations
@@ -154,30 +154,34 @@ def _tables(d: Diagram) -> _Tables:
             base, nxt, out = n - len(here), {}, [None] * len(here)
             for p, atom in step_atoms(step):
                 j = n + len(nxt)  # the number of the atom's first output
-                match atom:
-                    case Tick():
-                        out[here[p] - base], nxt[p] = (j,), j
-                        ticks[j] = k, p
-                    case Fork():
-                        out[here[p] - base] = (j, j + 1)
-                        nxt[p + "L"], nxt[p + "R"] = j, j + 1
-                    case Join():
-                        out[here[p + "L"] - base] = out[here[p + "R"] - base] = (j,)
-                        nxt[p] = j
-                    case PermStep(perm):
-                        targets = perm.onto
-                        if targets is None:
-                            targets = site_types(perm.target)
-                            faulty.append((p, perm))
-                        for b in targets:
-                            nxt[p + b] = n + len(nxt)
-                        for a, b in perm.pairs:
-                            i = here[p + a] - base
-                            if out[i] is not None:
-                                raise ValueError(
-                                    f"step {k} sends site {p + a!r} of cut {k} twice"
-                                )
-                            out[i] = (nxt.get(p + b),)
+                # exact classes, most common first: this runs once per atom
+                kind = type(atom)
+                if kind is PermStep:
+                    perm = atom.perm
+                    targets = perm.onto
+                    if targets is None:
+                        targets = site_types(perm.target)
+                        faulty.append((p, perm))
+                    for b in targets:
+                        nxt[p + b] = n + len(nxt)
+                    for a, b in perm.pairs:
+                        i = here[p + a] - base
+                        if out[i] is not None:
+                            raise ValueError(
+                                f"step {k} sends site {p + a!r} of cut {k} twice"
+                            )
+                        out[i] = (nxt.get(p + b),)
+                elif kind is Tick:
+                    out[here[p] - base], nxt[p] = (j,), j
+                    ticks[j] = k, p
+                elif kind is Fork:
+                    out[here[p] - base] = (j, j + 1)
+                    nxt[p + "L"], nxt[p + "R"] = j, j + 1
+                elif kind is Join:
+                    out[here[p + "L"] - base] = out[here[p + "R"] - base] = (j,)
+                    nxt[p] = j
+                else:
+                    raise TypeError(f"not a step: {atom!r}")
             if None in out or (None,) in out:  # unread, or sent off the tree
                 s = next(s for s in here if out[here[s] - base] in (None, (None,)))
                 raise ValueError(f"step {k} takes site {s!r} of cut {k} nowhere")

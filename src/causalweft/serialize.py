@@ -341,9 +341,10 @@ def diagram_from_obj(obj: Any) -> tuple[Diagram, dict[TickRef, Any]]:
     for entry in raw_labels:
         if not isinstance(entry, dict) or not {"step", "path", "value"} <= set(entry):
             raise SchemaError(f"bad label entry {entry!r}")
-        if not isinstance(entry["step"], int) or not _site_ok(entry["path"]):
+        k = entry["step"]  # JSON true is an int to Python, not a step
+        if not isinstance(k, int) or isinstance(k, bool) or not _site_ok(entry["path"]):
             raise SchemaError(f"bad label position {entry!r}")
-        ref = TickRef(entry["step"], entry["path"])
+        ref = TickRef(k, entry["path"])
         if ref in lab:
             raise SchemaError(f"duplicate label for {ref}")
         lab[ref] = label_value_from_obj(entry["value"])

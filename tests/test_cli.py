@@ -25,6 +25,7 @@ from causalweft.serialize import diagram_from_json, diagram_hash, diagram_to_jso
 
 from conftest import build_message_flow, build_two_tick
 from test_lamport import PING, make_execution
+from test_serialize import BOOL_STEP_DOC
 
 A, B = Atom("A"), Atom("B")
 
@@ -102,6 +103,15 @@ def test_labels_that_are_not_a_list_are_an_input_error(tmp_path, capsys, labels)
     assert main(["validate", path]) == 2
     got = json.loads(labels)
     assert capsys.readouterr().err == f"error: labels must be a list, got {got!r}\n"
+
+
+def test_a_boolean_label_step_is_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, "labels.json", BOOL_STEP_DOC)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: bad label position {'path': '', 'step': True, 'value': {'actor': 'p'}}\n",
+    )
 
 
 def test_missing_file_is_an_input_error(tmp_path, capsys):

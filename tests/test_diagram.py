@@ -50,6 +50,7 @@ from causalweft.diagram import (
     validate,
 )
 from causalweft.clocks import Action
+from causalweft.paths import cut_numbers, step_successors
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -231,7 +232,19 @@ def test_step_atoms_walk_left_to_right():
     ]
     assert list(step_atoms(Tick(A, B))) == [("", Tick(A, B))]
     with pytest.raises(TypeError, match="not a step"):
-        list(step_atoms(Par(Tick(A, A), Leaf(A))))
+        step_atoms(Par(Tick(A, A), Leaf(A)))
+    # every walk of the atoms refuses it: the event tables too
+    bad = Diagram(Tensor(Leaf(A), Leaf(A)), (Par(Tick(A, A), Leaf(A)),))
+    for walk in (cut_numbers, step_successors, ticks):
+        with pytest.raises(TypeError, match="not a step"):
+            walk(bad)
+
+    # the event tables dispatch on exact classes
+    class Tock(Tick):
+        pass
+
+    with pytest.raises(TypeError, match="not a step: .*Tock"):
+        cut_numbers(Diagram(Leaf(A), (Tock(A, A),)))
 
 
 def test_par_builder():

@@ -19,6 +19,7 @@ from causalweft.diagram import (
     cut_configs,
     labeling_faults,
     n_sites,
+    site_types,
     step_atoms,
     ticks,
     validate,
@@ -26,6 +27,8 @@ from causalweft.diagram import (
 from causalweft.lamport import (
     CyclicExecutionError,
     Execution,
+    _Group,
+    _route,
     derived_order,
     execution_from_json,
     execution_from_obj,
@@ -224,6 +227,45 @@ def test_each_layer_compiles_to_at_most_four_steps():
         assert derived_order(d, tick_index) == hb_closure(x), name
         layers += kinds.count("t")
     assert layers > 1000
+
+
+def test_every_emitted_perm_is_a_checked_bijection_onto_its_target():
+    # the compiler checks each route against its slot maps, not with
+    # `perm_from_table`; the full check runs here, and the target site
+    # table it keeps, which `paths` numbers events from, must be the
+    # target's own, in site order
+    xs = [gen_execution(seed, 8, 100) for seed in range(200)]
+    xs.append(gen_execution(910, 8, 800))
+    assert len(xs[-1].action_ids()) == 797
+    routes = 0
+    for x in xs:
+        d, _, _ = to_diagram(x)
+        perms = {
+            id(atom.perm): atom.perm
+            for step in d.steps
+            for _, atom in step_atoms(step)
+            if isinstance(atom, PermStep)
+        }
+        for perm in perms.values():
+            assert perm.faults() == []
+            assert list(perm.onto.items()) == list(site_types(perm.target).items())
+            assert perm.pairs == tuple(sorted(perm.pairs))
+        routes += sum(isinstance(s, PermStep) for s in d.steps)
+    assert routes > 1000
+
+
+def test_a_bad_route_is_refused():
+    A, B = Atom("A"), Atom("B")
+    p, m = (("proc", "p"), A), (("msg", ("a1", "a2")), A)
+    old = [_Group([p]), _Group([m])]
+    with pytest.raises(ValueError, match="^bad permutation: the layouts"):
+        _route(old, [_Group([p]), _Group([(("proc", "q"), A)])])
+    with pytest.raises(ValueError, match="^bad permutation: the layouts"):
+        _route(old, [_Group([p, m]), _Group([m])])
+    with pytest.raises(ValueError, match="^bad permutation: slot"):
+        _route(old, [_Group([m, (p[0], B)])])
+    route = _route(old, [_Group([m, p])])
+    assert route.pairs == (("L", "R"), ("R", "L")) and route.faults() == []
 
 
 def test_ping_round_trips_its_order():

@@ -489,6 +489,24 @@ def test_bad_label_entries_are_rejected():
         diagram_from_obj(doc)
 
 
+# JSON true is an int to Python, so a loader that took it as a step
+# would label step 1
+BOOL_STEP_DOC = (
+    '{"initial":{"leaf":{"atom":"A"}},'
+    '"labels":[{"path":"","step":true,"value":{"actor":"p"}}],'
+    '"steps":[{"tick":{"in":{"atom":"A"},"out":{"atom":"A"}}},'
+    '{"tick":{"in":{"atom":"A"},"out":{"atom":"A"}}}]}'
+)
+
+
+def test_a_boolean_label_step_is_rejected():
+    with pytest.raises(SchemaError, match="bad label position"):
+        diagram_from_json(BOOL_STEP_DOC)
+    # the same document with step 1 loads
+    d, lab = diagram_from_json(BOOL_STEP_DOC.replace('"step":true', '"step":1'))
+    assert list(lab) == [TickRef(1, "")]
+
+
 def test_action_labels_reject_stray_fields():
     d = Diagram(Leaf(A), (Tick(A, A),))
     doc = diagram_to_obj(d, {TickRef(0, ""): Action("p1")})
