@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -552,6 +552,25 @@ def _keep_faults(d: Diagram, faults: list[Fault]) -> None:
     d.__dict__[_FAULTS] = faults
 
 
+_ATOMS = "_step_atoms"
+
+
+def _keep_atoms(d: Diagram, atoms: list[list[tuple[str, AtomicStep]]]) -> None:
+    """Record each step's `step_atoms` list, made by a walk that visited
+    every step's atoms left to right, so `step_atom_lists` reads them
+    instead of walking the steps again."""
+    d.__dict__[_ATOMS] = atoms
+
+
+def step_atom_lists(d: Diagram) -> Iterable[list[tuple[str, AtomicStep]]]:
+    """`step_atoms` of each step of `d`, in step order: the lists a
+    loaded document brings (see `serialize`), else a walk of each step
+    as it is reached, which is not kept. Read-only: a kept list is
+    shared."""
+    atoms = d.__dict__.get(_ATOMS)
+    return map(step_atoms, d.steps) if atoms is None else atoms
+
+
 def validate(d: Diagram) -> list[Fault]:
     """All typing faults of a diagram, in step order; empty when the
     diagram is well-formed. Checks every permutation table and boundary
@@ -633,8 +652,8 @@ def ticks(d: Diagram) -> tuple[TickRef, ...]:
     """All ticks of a diagram in (step, left-to-right) order."""
     return tuple(
         TickRef(k, path)
-        for k, step in enumerate(d.steps)
-        for path, atom in step_atoms(step)
+        for k, atoms in enumerate(step_atom_lists(d))
+        for path, atom in atoms
         if isinstance(atom, Tick)
     )
 

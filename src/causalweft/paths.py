@@ -36,6 +36,7 @@ from .diagram import (
     Tick,
     TickRef,
     site_types,
+    step_atom_lists,
     step_atoms,
     tick_at,
 )
@@ -134,11 +135,12 @@ _TABLES = "_paths_tables"
 
 
 def _tables(d: Diagram) -> _Tables:
-    """The derived tables of `d`, built on first use by one walk of each
-    step's atoms and kept in the instance's own __dict__, so they are
-    freed with the diagram. Raises ValueError if a step reads a site
-    its cut lacks, takes one nowhere in the next cut, or has a perm that
-    hits a site of the next cut twice or never."""
+    """The derived tables of `d`, built on first use by one pass over
+    each step's atoms (`step_atom_lists`: a loaded document's kept
+    lists, else a walk) and kept in the instance's own __dict__, so
+    they are freed with the diagram. Raises ValueError if a step reads
+    a site its cut lacks, takes one nowhere in the next cut, or has a
+    perm that hits a site of the next cut twice or never."""
     tables = d.__dict__.get(_TABLES)
     if tables is not None:
         return tables
@@ -148,11 +150,11 @@ def _tables(d: Diagram) -> _Tables:
     # the step's own faults
     faulty: list[tuple[str, Perm]] = []
     try:
-        for k, step in enumerate(d.steps):
+        for k, atoms in enumerate(step_atom_lists(d)):
             # atoms come left to right with prefix-free paths, so the
             # output sites come, and are numbered, in site order
             base, nxt, out = n - len(here), {}, [None] * len(here)
-            for p, atom in step_atoms(step):
+            for p, atom in atoms:
                 j = n + len(nxt)  # the number of the atom's first output
                 # exact classes, most common first: this runs once per atom
                 kind = type(atom)

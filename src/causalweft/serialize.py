@@ -21,12 +21,22 @@ table's target is its source). Parsing is one walk per step, which
 also yields the configuration the next step applies to. Parsing also
 typechecks: the walk checks each step against the configuration it
 applies to, and `validate` on a loaded diagram reads the faults it
-found. Each load hash-conses what it reads (`_Reader`): equal types
-and configurations are one object, and a perm table met again on the
-same configuration object is checked and rebuilt once. Label values
-of the form {"actor": ..., "target": ...} are read back as Actions,
-whose actor and target must be strings or integers; anything else
-passes through as plain JSON.
+found. The walk also lists each step's atoms with their paths, in the
+order `step_atoms` gives, and the loaded diagram keeps those lists,
+so its event tables and `ticks` read them instead of walking the steps
+again. Each load hash-conses what it reads (`_Reader`): equal types
+and configurations are one object, each tick, fork and join over the
+same types is one object with its boundary configurations, and a perm
+table met again on the same configuration object is checked and
+rebuilt once. A table met for the first time is read in one pass: its
+keys against the site table, its values as strings, then one stack
+merge over the values in order that builds the target and its site
+table; only a table that fails there goes through the checks one by
+one, in their fixed order, to name its fault. Label values of the form
+{"actor": ..., "target": ...} are read back as Actions, whose actor
+and target must be strings or integers; anything else passes through
+as plain JSON. A label entry of the common shape (an int step, an L/R
+path, string actor and target) is read in one pass too.
 
 Printing is canonical (sorted keys, no whitespace, labels sorted by
 step then path), so parse-then-print is byte-stable and documents can
@@ -76,6 +86,7 @@ from .diagram import (
     Tensor,
     Tick,
     TickRef,
+    _keep_atoms,
     _keep_faults,
     _keep_onto,
     check_boundary,
@@ -121,7 +132,7 @@ def step_from_obj(obj: Any, context: Config | None = None) -> GlobalStep:
     """Parse a step. `context` is the configuration the step is applied
     to; it is how a perm learns its source and is threaded into par
     halves."""
-    return _Reader().step(obj, context, 0, "", [])[0]
+    return _Reader().step(obj, context, 0, "", [], [])[0]
 
 
 class _Reader:
@@ -130,10 +141,11 @@ class _Reader:
     method recurses once per level of nesting, as `json` does, so
     `nesting_guard` bounds both alike."""
 
-    __slots__ = ("terms", "perms")
+    __slots__ = ("terms", "atom_steps", "perms")
 
     def __init__(self) -> None:
         self.terms: dict[Any, Any] = {}
+        self.atom_steps: dict[tuple[str, int, int], tuple[AtomicStep, Config, Config]] = {}
         self.perms: dict[tuple[int, tuple], PermStep] = {}
 
     def term(self, cls: type, a: Any, b: Any = None) -> Any:
@@ -146,11 +158,12 @@ class _Reader:
     def type(self, obj: Any) -> StateType:
         if not isinstance(obj, dict) or len(obj) != 1:
             raise SchemaError(f"expected a one-key type object, got {obj!r}")
+        name = obj.get("atom")  # the common case, read without dispatch
+        if isinstance(name, str):
+            return self.terms.get(name) or self.terms.setdefault(name, Atom(name))
         [(key, body)] = obj.items()
         if key == "atom":
-            if not isinstance(body, str):
-                raise SchemaError(f"atom name must be a string, got {body!r}")
-            return self.terms.get(body) or self.terms.setdefault(body, Atom(body))
+            raise SchemaError(f"atom name must be a string, got {body!r}")
         if key == "prod":
             if not isinstance(body, list) or len(body) != 2:
                 raise SchemaError(f"prod takes two parts, got {body!r}")
@@ -169,6 +182,22 @@ class _Reader:
             return self.term(Tensor, self.config(body[0]), self.config(body[1]))
         raise SchemaError(f"unknown config node {obj!r}")
 
+    def atom(self, kind: str, a: StateType, b: StateType) -> tuple[AtomicStep, Config, Config]:
+        """The one tick, fork or join of this call over the types `a` and
+        `b`, with its input and output configurations, keyed by the ids
+        of the types, which `terms` keeps alive."""
+        key = (kind, id(a), id(b))
+        made = self.atom_steps.get(key)
+        if made is None:
+            if kind == "tick":
+                made = Tick(a, b), self.term(Leaf, a), self.term(Leaf, b)
+            else:
+                one = self.term(Leaf, self.term(Prod, a, b))  # [a x b]
+                two = self.term(Tensor, self.term(Leaf, a), self.term(Leaf, b))  # [a] * [b]
+                made = (Fork(a, b), one, two) if kind == "fork" else (Join(a, b), two, one)
+            self.atom_steps[key] = made
+        return made
+
     def perm(self, body: Any, context: Config | None) -> PermStep:
         """A perm applied to `context`. Only a table that passed every
         check on this context object is kept, under the object's id (the
@@ -186,6 +215,50 @@ class _Reader:
             step = None
         if step is not None:
             return step
+        perm = self.good_perm(table, context) or self.checked_perm(table, context)
+        step = self.perms[key] = PermStep(perm)
+        return step
+
+    def good_perm(self, table: dict, context: Config | None) -> Perm | None:
+        """The perm of a table that passes every check on `context`, in
+        one pass; None if any check fails. Its keys must be the context's
+        sites and its values strings; then one stack merge over the
+        values in order builds the target, pushing each value's leaf and
+        fusing the top two entries while they are the L and R halves of
+        one node. Every node it places sits at its own path, so the merge
+        ends on the one root exactly when the values are distinct L/R
+        paths that form a tree; a repeated value, or one with another
+        character, is left on the stack."""
+        if context is None:
+            return None
+        types = site_types(context)
+        if table.keys() != types.keys():
+            return None
+        for t in table.values():
+            if type(t) is not str:
+                return None
+        pairs = tuple(sorted(table.items()))
+        if list(table.values()) == list(table):
+            return _keep_onto(Perm(context, context, pairs), types)
+        target_types: dict[str, StateType] = {}
+        paths: list[str] = []
+        nodes: list[Config] = []
+        for t, s in sorted(zip(table.values(), table)):
+            ty = target_types[t] = types[s]
+            node = self.term(Leaf, ty)
+            while t and t[-1] == "R" and paths and paths[-1] == t[:-1] + "L":
+                paths.pop()
+                node = self.term(Tensor, nodes.pop(), node)
+                t = t[:-1]
+            paths.append(t)
+            nodes.append(node)
+        if paths != [""]:
+            return None
+        return _keep_onto(Perm(context, nodes[0], pairs), target_types)
+
+    def checked_perm(self, table: Any, context: Config | None) -> Perm:
+        """The perm of a table that `good_perm` refused, checked in order
+        so that the first check it fails names the fault."""
         for s, t in table.items():
             if not _site_ok(s) or not _site_ok(t):
                 raise SchemaError(f"bad site in perm table: {s!r} -> {t!r}")
@@ -206,10 +279,7 @@ class _Reader:
             back = {t: s for s, t in table.items()}
             target_types = {p: types[back[p]] for p in sorted(back)}
             target = self.target(list(target_types), target_types.__getitem__)
-        pairs = tuple(sorted(table.items()))
-        perm = _keep_onto(Perm(context, target, pairs), target_types)
-        step = self.perms[key] = PermStep(perm)
-        return step
+        return _keep_onto(Perm(context, target, tuple(sorted(table.items()))), target_types)
 
     def target(self, paths: list[str], type_of) -> Config:
         """The configuration whose leaf set is the sorted `paths`. Sorted
@@ -233,18 +303,27 @@ class _Reader:
         return done[0]
 
     def step(
-        self, obj: Any, context: Config | None, k: int, path: str, faults: list[Fault]
+        self,
+        obj: Any,
+        context: Config | None,
+        k: int,
+        path: str,
+        faults: list[Fault],
+        atoms: list[tuple[str, AtomicStep]],
     ) -> tuple[GlobalStep, Config]:
         """Parse the node at `path` of step k, applied to `context`;
-        return it with its output configuration and append to `faults`
-        the boundary faults `validate` finds at it, in tree order. A
-        parsed perm has no table faults: its keys are the sites of its
-        source, its values are injective and its target is rebuilt."""
+        return it with its output configuration, append to `faults` the
+        boundary faults `validate` finds at it, in tree order, and to
+        `atoms` its atomic steps with their paths, as `step_atoms` lists
+        them. A parsed perm has no table faults: its keys are the sites
+        of its source, its values are injective and its target is
+        rebuilt."""
         if not isinstance(obj, dict) or len(obj) != 1:
             raise SchemaError(f"expected a one-key step object, got {obj!r}")
         [(key, body)] = obj.items()
         if key == "perm":
             step = self.perm(body, context)
+            atoms.append((path, step))
             return step, step.perm.target
         if key == "par":
             if not isinstance(body, list) or len(body) != 2:
@@ -254,26 +333,23 @@ class _Reader:
                 lctx, rctx = context.left, context.right
             else:
                 check_boundary(faults, k, path, context, None)
-            left, lout = self.step(body[0], lctx, k, path + "L", faults)
-            right, rout = self.step(body[1], rctx, k, path + "R", faults)
+            left, lout = self.step(body[0], lctx, k, path + "L", faults, atoms)
+            right, rout = self.step(body[1], rctx, k, path + "R", faults, atoms)
             return Par(left, right), self.term(Tensor, lout, rout)
         if key == "tick":
-            if not isinstance(body, dict) or set(body) != {"in", "out"}:
+            if not (
+                isinstance(body, dict) and len(body) == 2 and "in" in body and "out" in body
+            ):
                 raise SchemaError(f"tick takes in/out types, got {body!r}")
-            in_ty, out_ty = self.type(body["in"]), self.type(body["out"])
-            step: GlobalStep = Tick(in_ty, out_ty)
-            want, out = self.term(Leaf, in_ty), self.term(Leaf, out_ty)
+            step, want, out = self.atom(key, self.type(body["in"]), self.type(body["out"]))
         elif key == "fork" or key == "join":
-            if not isinstance(body, dict) or set(body) != {"l", "r"}:
+            if not (isinstance(body, dict) and len(body) == 2 and "l" in body and "r" in body):
                 raise SchemaError(f"{key} takes l/r types, got {body!r}")
-            l, r = self.type(body["l"]), self.type(body["r"])
-            one = self.term(Leaf, self.term(Prod, l, r))  # [l x r]
-            two = self.term(Tensor, self.term(Leaf, l), self.term(Leaf, r))  # [l] * [r]
-            fork = key == "fork"
-            step, want, out = (Fork(l, r), one, two) if fork else (Join(l, r), two, one)
+            step, want, out = self.atom(key, self.type(body["l"]), self.type(body["r"]))
         else:
             raise SchemaError(f"unknown step node {obj!r}")
         check_boundary(faults, k, path, context, want)
+        atoms.append((path, step))
         return step, out
 
 
@@ -330,31 +406,61 @@ def diagram_from_obj(obj: Any) -> tuple[Diagram, dict[TickRef, Any]]:
         raise SchemaError(f"steps must be a list, got {raw_steps!r}")
     steps: list[GlobalStep] = []
     faults: list[Fault] = []
+    atoms: list[list[tuple[str, AtomicStep]]] = []
     context = initial
     for k, raw in enumerate(raw_steps):
-        step, context = reader.step(raw, context, k, "", faults)
+        here: list[tuple[str, AtomicStep]] = []
+        step, context = reader.step(raw, context, k, "", faults, here)
         steps.append(step)
+        atoms.append(here)
     raw_labels = obj.get("labels", [])
     if not isinstance(raw_labels, list):
         raise SchemaError(f"labels must be a list, got {raw_labels!r}")
     lab: dict[TickRef, Any] = {}
     for entry in raw_labels:
-        if not isinstance(entry, dict) or not {"step", "path", "value"} <= set(entry):
-            raise SchemaError(f"bad label entry {entry!r}")
-        k = entry["step"]  # JSON true is an int to Python, not a step
-        if not isinstance(k, int) or isinstance(k, bool) or not _site_ok(entry["path"]):
-            raise SchemaError(f"bad label position {entry!r}")
-        ref = TickRef(k, entry["path"])
+        ref, value = _label_entry(entry)
         if ref in lab:
             raise SchemaError(f"duplicate label for {ref}")
-        lab[ref] = label_value_from_obj(entry["value"])
+        lab[ref] = value
     d = Diagram(initial, tuple(steps))
     _keep_faults(d, faults)
+    _keep_atoms(d, atoms)
     return d, lab
 
 
+def _label_entry(entry: Any) -> tuple[TickRef, Any]:
+    """One label entry read back. The common shape, an int step, an L/R
+    path and an action with a string actor and a string or null target,
+    is read in one pass; any other entry goes through the checks in
+    order, so the first that fails names the fault."""
+    if type(entry) is dict and len(entry) == 3:
+        k, path, value = entry.get("step"), entry.get("path"), entry.get("value")
+        path_ok = type(path) is str and not path.strip("LR")
+        if type(k) is int and path_ok and type(value) is dict:
+            actor, target = value.get("actor"), value.get("target")
+            if (
+                type(actor) is str
+                and (target is None or type(target) is str)
+                and len(value) == 1 + ("target" in value)
+            ):
+                return TickRef(k, path), Action(actor, target)
+    if not isinstance(entry, dict) or not {"step", "path", "value"} <= set(entry):
+        raise SchemaError(f"bad label entry {entry!r}")
+    k = entry["step"]  # JSON true is an int to Python, not a step
+    if not isinstance(k, int) or isinstance(k, bool) or not _site_ok(entry["path"]):
+        raise SchemaError(f"bad label position {entry!r}")
+    return TickRef(k, entry["path"]), label_value_from_obj(entry["value"])
+
+
+# A constant, not a cache: built once at import from no input, and
+# `encode` keeps nothing between calls.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def to_canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """What `json.dumps(obj, sort_keys=True, separators=(",", ":"))`
+    returns, without building an encoder per call."""
+    return _CANONICAL.encode(obj)
 
 
 def diagram_to_json(d: Diagram, lab: Mapping[TickRef, Any] | None = None) -> str:

@@ -21,15 +21,19 @@ from causalweft.diagram import (
     Tick,
     TickRef,
     noop,
+    site_types,
     sites,
+    step_atoms,
     tensor,
+    ticks,
     validate,
 )
 from causalweft.lamport import to_diagram
-from causalweft.paths import PathWitness
+from causalweft.paths import PathWitness, cut_numbers, step_successors, tick_outputs
 from causalweft.verify import gen_diagram
 from causalweft.serialize import (
     SchemaError,
+    _Reader,
     config_from_obj,
     diagram_from_json,
     diagram_from_obj,
@@ -258,6 +262,10 @@ def test_a_loaded_diagram_is_freed_once_dropped(message_flow):
     assert all(r() is None for r in refs)
 
 
+PAIR = Tensor(Leaf(A), Leaf(A))
+THREE = Tensor(Leaf(A), Tensor(Leaf(A), Leaf(A)))
+
+
 @pytest.mark.parametrize(
     "initial, tables, message",
     [
@@ -292,6 +300,21 @@ def test_a_loaded_diagram_is_freed_once_dropped(message_flow):
             [{"L": "LL", "RL": "RL", "RR": "RRL"}],
             "table paths ['LL'] do not form a tree",
         ),
+        # keys that match the sites, values that are not strings: the
+        # values must be checked before they are sorted
+        (PAIR, [{"L": 1, "R": "L"}], "bad site in perm table: 'L' -> 1"),
+        (PAIR, [{"L": "R", "R": None}], "bad site in perm table: 'R' -> None"),
+        (PAIR, [{"L": ["R"], "R": "L"}], "bad site in perm table: 'L' -> ['R']"),
+        # a string value with a character other than L and R
+        (PAIR, [{"L": "R", "R": "X"}], "bad site in perm table: 'R' -> 'X'"),
+        (THREE, [{"L": "RX", "RL": "L", "RR": "RL"}], "bad site in perm table: 'L' -> 'RX'"),
+        # two keys sent to one site, adjacent once the values are sorted
+        (PAIR, [{"L": "R", "R": "R"}], "perm table is not injective: {'L': 'R', 'R': 'R'}"),
+        (
+            THREE,
+            [{"L": "RL", "RL": "RL", "RR": "L"}],
+            "perm table is not injective: {'L': 'RL', 'RL': 'RL', 'RR': 'L'}",
+        ),
     ],
 )
 def test_the_perm_memo_skips_no_check(initial, tables, message):
@@ -303,6 +326,53 @@ def test_the_perm_memo_skips_no_check(initial, tables, message):
     with pytest.raises(SchemaError) as e:
         diagram_from_obj(doc)
     assert str(e.value) == message
+
+
+def _random_tree(reader: _Reader, n: int, rng: random.Random):
+    if n == 1:
+        return reader.term(Leaf, rng.choice([A, B]))
+    k = rng.randint(1, n - 1)
+    return reader.term(Tensor, _random_tree(reader, k, rng), _random_tree(reader, n - k, rng))
+
+
+def test_the_one_pass_perm_read_agrees_with_the_ordered_checks():
+    # every table the one pass takes gives the perm the ordered checks
+    # build; every other table fails one of those checks
+    rng = random.Random(11)
+    taken = refused = 0
+    for _ in range(3000):
+        reader = _Reader()
+        n = rng.randint(1, 6)
+        context = _random_tree(reader, n, rng)
+        keys = list(sites(context))
+        values = list(sites(_random_tree(_Reader(), n, rng)))
+        rng.shuffle(values)
+        table = dict(zip(keys, values))
+        flaw = rng.randrange(8)
+        if flaw == 0:
+            table[rng.choice(keys)] = rng.choice(values)  # maybe a repeat
+        elif flaw == 1:
+            table[rng.choice(keys)] = rng.choice(["X", "LX", "", "L", "RRR", 1, None, ["L"]])
+        elif flaw == 2 and n > 1:
+            del table[rng.choice(keys)]
+        elif flaw == 3:
+            table = {s: t + rng.choice(["L", "R", ""]) for s, t in table.items()}
+        items = list(table.items())
+        rng.shuffle(items)
+        table = dict(items)
+        got = reader.good_perm(table, context)
+        try:
+            want = reader.checked_perm(table, context)
+        except SchemaError:
+            assert got is None, table
+            refused += 1
+            continue
+        assert got is not None, table
+        assert (got.source, got.target, got.pairs) == (want.source, want.target, want.pairs)
+        assert got.target is want.target  # both hash-consed by the reader
+        assert list(got.onto.items()) == list(site_types(got.target).items())
+        taken += 1
+    assert taken > 1000 and refused > 1000
 
 
 def test_a_perm_target_deeper_than_the_recursion_limit_loads():
@@ -345,6 +415,28 @@ def _mutate(doc: dict, rng: random.Random) -> None:
     atoms = _nodes([doc["initial"], doc["steps"]], "atom")
     for node in rng.sample(atoms, min(len(atoms), rng.randint(1, 3))):
         node["atom"] = node["atom"] + "'"
+
+
+def _loaded(d: Diagram, lab) -> Diagram:
+    return diagram_from_json(diagram_to_json(d, lab))[0]
+
+
+def test_the_loader_keeps_each_steps_atom_list(corpus):
+    # the kept lists must be what a walk finds, and the tables and ticks
+    # read from them what a diagram with the same steps and no kept
+    # lists gives
+    compiled = [to_diagram(x)[:2] for x in compiled_executions()[:200]]
+    for d in [_loaded(*pair) for pair in corpus + compiled]:
+        kept = d.__dict__["_step_atoms"]
+        assert len(kept) == d.n_steps
+        for k, step in enumerate(d.steps):
+            assert kept[k] == step_atoms(step)
+        fresh = Diagram(d.initial, d.steps)
+        assert "_step_atoms" not in fresh.__dict__
+        assert cut_numbers(d) == cut_numbers(fresh)
+        assert step_successors(d) == step_successors(fresh)
+        assert tick_outputs(d) == tick_outputs(fresh)
+        assert ticks(d) == ticks(fresh)
 
 
 def test_the_parser_finds_the_faults_validate_finds():
@@ -487,6 +579,17 @@ def test_bad_label_entries_are_rejected():
     doc["labels"] = [{"step": 0, "path": "Q", "value": 1}]
     with pytest.raises(SchemaError, match="bad label position"):
         diagram_from_obj(doc)
+    doc["labels"] = [{"step": 0, "path": "", "value": {"actor": "p", "mood": "hasty"}}]
+    with pytest.raises(SchemaError, match=r"^unknown action fields \['mood'\]$"):
+        diagram_from_obj(doc)
+    # a fourth key leaves the one-pass read and is ignored, as it always was
+    doc["labels"] = [{"step": 0, "path": "", "value": {"actor": "p"}, "note": 1}]
+    assert diagram_from_obj(doc)[1] == {TickRef(0, ""): Action("p")}
+    # an integer actor and a null target read back as the same Action
+    doc["labels"] = [{"step": 0, "path": "", "value": {"actor": 3, "target": None}}]
+    assert diagram_from_obj(doc)[1] == {TickRef(0, ""): Action(3)}
+    doc["labels"] = [{"step": 0, "path": "", "value": {"actor": "p", "target": None}}]
+    assert diagram_from_obj(doc)[1] == {TickRef(0, ""): Action("p")}
 
 
 # JSON true is an int to Python, so a loader that took it as a step
