@@ -556,17 +556,18 @@ _ATOMS = "_step_atoms"
 
 
 def _keep_atoms(d: Diagram, atoms: list[list[tuple[str, AtomicStep]]]) -> None:
-    """Record each step's `step_atoms` list, made by a walk that visited
-    every step's atoms left to right, so `step_atom_lists` reads them
-    instead of walking the steps again."""
+    """Record each step's `step_atoms` list, made by the code that built
+    the steps (the loader as it parses each step, the compiler as it
+    emits each one), so `step_atom_lists` reads them instead of walking
+    the steps again."""
     d.__dict__[_ATOMS] = atoms
 
 
 def step_atom_lists(d: Diagram) -> Iterable[list[tuple[str, AtomicStep]]]:
     """`step_atoms` of each step of `d`, in step order: the lists a
-    loaded document brings (see `serialize`), else a walk of each step
-    as it is reached, which is not kept. Read-only: a kept list is
-    shared."""
+    loaded document (see `serialize`) or a compiled execution (see
+    `lamport.to_diagram`) brings, else a walk of each step as it is
+    reached, which is not kept. Read-only: a kept list is shared."""
     atoms = d.__dict__.get(_ATOMS)
     return map(step_atoms, d.steps) if atoms is None else atoms
 
@@ -662,6 +663,10 @@ def tick_at(d: Diagram, ref: TickRef) -> Tick:
     """Resolve a TickRef to the Tick it names."""
     if not 0 <= ref.step < d.n_steps:
         raise ValueError(f"step {ref.step} out of range 0..{d.n_steps - 1}")
+    # the walk below reads any character but L as R
+    bad = ref.path.strip("LR")
+    if bad:
+        raise ValueError(f"{ref}: path contains {bad[0]!r}, expected L or R")
     node: GlobalStep = d.steps[ref.step]
     for c in ref.path:
         if not isinstance(node, Par):

@@ -24,11 +24,16 @@ so a send is tick-then-fork and a receive is join-then-tick. The
 layout is tracked as it goes: a slot's site is read off its group's
 place in the left-nested layout (group i of n sits at L^(n-1-i), then
 R if i > 0) and its place inside the group, so no configuration is
-built to look sites up. The perm is built only on layers whose group
-sequence changed, and checked against the two slot maps, which also
-give its target's site table; an unchanged sequence is the identity
-route. The returned tick index maps each action id to its tick, which
-is enough to read the happens-before relation back off the diagram.
+built to look sites up; these part paths come from one table per
+call. The perm is built only on layers whose group sequence changed,
+and checked against the two slot maps, which also give its target's
+site table; an unchanged sequence is the identity route. Each step is
+emitted as its (path, atom) list, the route perm at "" and group i's
+atom at its part path, and the diagram keeps these lists
+(`diagram._keep_atoms`), so the paths table and `ticks` read them
+instead of walking the steps. The returned tick index maps each
+action id to its tick, which is enough to read the happens-before
+relation back off the diagram.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .diagram import (
     Config,
     Diagram,
     Fork,
-    GlobalStep,
     Join,
     Leaf,
     Perm,
@@ -54,6 +58,7 @@ from .diagram import (
     StateType,
     Tick,
     TickRef,
+    _keep_atoms,
     _keep_onto,
     noop,
     par,
@@ -167,10 +172,6 @@ def hb_closure(x: Execution) -> frozenset[tuple[ActionId, ActionId]]:
 _Slot = tuple[str, Any]
 
 
-def _msg_part(m: tuple[ActionId, ActionId]) -> tuple[_Slot, StateType]:
-    return ("msg", m), Atom(f"{m[0]}>{m[1]}")
-
-
 class _Group(tuple[tuple[_Slot, StateType], ...]):
     """The (slot, type) parts of slots that steps take as one: a receiver
     and its message from the perm to the join, a sender and its message
@@ -186,33 +187,40 @@ class _Group(tuple[tuple[_Slot, StateType], ...]):
         return noop(self.config)
 
 
-def _part_site(i: int, n: int) -> SiteRef:
-    """The path of part i of a left-nested tensor of n parts."""
-    return "L" * (n - 1 - i) + ("R" if i else "")
+class _PartPaths(dict[int, tuple[SiteRef, ...]]):
+    """n -> the paths of the parts of a left-nested tensor of n parts:
+    part i at L^(n-1-i), then R if i > 0. Each row is built on first
+    use; one compile makes its own and frees it."""
+
+    def __missing__(self, n: int) -> tuple[SiteRef, ...]:
+        row = self[n] = tuple("L" * (n - 1 - i) + ("R" if i else "") for i in range(n))
+        return row
 
 
-def _slot_sites(groups: list[_Group]) -> dict[_Slot, tuple[SiteRef, StateType]]:
+def _slot_sites(
+    groups: list[_Group], parts: _PartPaths
+) -> dict[_Slot, tuple[SiteRef, StateType]]:
     """The site and type of each slot of a layout, in site order: its
     group's place in the left-nested layout, then its own place in the
     group's configuration."""
-    n = len(groups)
     return {
-        slot: (_part_site(i, n) + _part_site(j, len(g)), ty)
-        for i, g in enumerate(groups)
-        for j, (slot, ty) in enumerate(g)
+        slot: (at + inner, ty)
+        for at, g in zip(parts[len(groups)], groups)
+        for inner, (slot, ty) in zip(parts[len(g)], g)
     }
 
 
-def _route(old: list[_Group], new: list[_Group]) -> Perm:
+def _route(old: list[_Group], new: list[_Group], parts: _PartPaths) -> Perm:
     """The perm moving each slot from its site in layout `old` to its site
     in `new`, which must hold the same slots, once each, of the same
     types. The maps list sites in order: the pairs come sorted, and the
     new map is the target's site table."""
-    old_at, at = _slot_sites(old), _slot_sites(new)
+    old_at, at = _slot_sites(old, parts), _slot_sites(new, parts)
     if old_at.keys() != at.keys() or not len(at) == sum(map(len, old)) == sum(map(len, new)):
         raise ValueError("bad permutation: the layouts do not hold the same slots once each")
     for slot, (_, ty) in old_at.items():
-        if at[slot][1] != ty:
+        new_ty = at[slot][1]  # one object per message type: mostly `is`
+        if new_ty is not ty and new_ty != ty:
             raise ValueError(f"bad permutation: slot {slot!r}:{ty} changes type")
     perm = Perm(
         tensor([g.config for g in old]),
@@ -223,42 +231,48 @@ def _route(old: list[_Group], new: list[_Group]) -> Perm:
 
 
 def _step(
-    groups: list[_Group], acts: Mapping[int, tuple[AtomicStep, _Group]]
-) -> GlobalStep:
-    """Each acting group's atom beside the noop that holds every other
-    group; an acting group becomes the group its atom outputs."""
-    parts = [acts[i][0] if i in acts else g.hold for i, g in enumerate(groups)]
+    groups: list[_Group], acts: Mapping[int, tuple[AtomicStep, _Group]], at: tuple[SiteRef, ...]
+) -> list[tuple[SiteRef, AtomicStep]]:
+    """The atoms of a step, group i's at path at[i]: each acting group's
+    atom beside the noop that holds every other group. An acting group
+    becomes the group its atom outputs."""
+    atoms = [(at[i], acts[i][0] if i in acts else g.hold) for i, g in enumerate(groups)]
     for i, (_, out) in acts.items():
         groups[i] = out
-    return par(parts)
+    return atoms
 
 
-def _layers(x: Execution) -> dict[int, list[ActionId]]:
+def _layers(x: Execution, pids: list[Pid]) -> dict[int, dict[int, ActionId]]:
     """Layer = 1 + deepest direct predecessor (previous action on the
-    process, and the send for a receive). Actions on a happens-before
-    cycle, and those after one, get no layer."""
-    preds: dict[ActionId, list[ActionId]] = {a: [] for a in x.action_ids()}
-    succs: dict[ActionId, list[ActionId]] = {a: [] for a in preds}
-    for acts in x.processes.values():
-        for a, b in zip(acts, acts[1:]):
-            preds[b].append(a)
-            succs[a].append(b)
-    for s, r in x.messages:
-        preds[r].append(s)
-        succs[s].append(r)
+    process, and the send for a receive). Each process advances until a
+    receive whose send has no layer yet, and waits there until the send
+    gets one, so every action is reached once or twice. Actions on a
+    happens-before cycle, and those after one, get no layer. Each layer
+    maps the index of an acting process in `pids` to its action."""
+    send_of = {r: s for s, r in x.messages}
     layer: dict[ActionId, int] = {}
-    missing = {a: len(ps) for a, ps in preds.items()}
-    ready = sorted(a for a, n in missing.items() if n == 0)
+    out: dict[int, dict[int, ActionId]] = {}
+    # per process: its actions, how many have a layer, the last one's,
+    # its index; a waiting process is keyed by the send it waits for
+    ready = [[x.processes[p], 0, 0, k] for k, p in enumerate(pids)]
+    waiting: dict[ActionId, list] = {}
     while ready:
-        a = ready.pop()
-        layer[a] = 1 + max((layer[p] for p in preds[a]), default=0)
-        for b in succs[a]:
-            missing[b] -= 1
-            if missing[b] == 0:
-                ready.append(b)
-    out: dict[int, list[ActionId]] = {}
-    for a, lv in layer.items():
-        out.setdefault(lv, []).append(a)
+        entry = ready.pop()
+        acts, i, lv, k = entry
+        while i < len(acts):
+            a = acts[i]
+            s = send_of.get(a)
+            if s is not None:
+                if s not in layer:
+                    waiting[s] = entry
+                    break
+                lv = max(lv, layer[s])
+            lv = layer[a] = lv + 1
+            out.setdefault(lv, {})[k] = a
+            if a in waiting:
+                ready.append(waiting.pop(a))
+            i += 1
+        entry[1:3] = i, lv
     return out
 
 
@@ -271,12 +285,11 @@ def to_diagram(
     if not x.processes:
         raise ValueError("an execution needs at least one process to have sites")
     pids = sorted(x.processes)
-    # action -> index of its process's group, which leads every layout
-    group_of = {a: i for i, p in enumerate(pids) for a in x.processes[p]}
-    send_msg = {s: (s, r) for s, r in x.messages}
-    recv_msg = {r: (s, r) for s, r in x.messages}
-    layers = _layers(x)
-    if sum(map(len, layers.values())) < len(group_of):
+    # one (slot, type) part per message, shared by its send and receive
+    send_msg = {s: (("msg", (s, r)), Atom(f"{s}>{r}")) for s, r in x.messages}
+    recv_msg = {r: send_msg[s] for s, r in x.messages}
+    layers = _layers(x, pids)
+    if sum(map(len, layers.values())) < len(x.actions):
         # only a cycle leaves actions without a layer; the closure names
         # an action on it
         hb_closure(x)
@@ -285,60 +298,64 @@ def to_diagram(
     # one group per process serves every layout
     home = [_Group([(("proc", p), Atom(str(p)))]) for p in pids]
     groups = list(home)
-    steps: list[GlobalStep] = []
+    parts = _PartPaths()
+    # each step's (path, atom) list, in site order, as `step_atoms` lists it
+    kept: list[list[tuple[SiteRef, AtomicStep]]] = []
     lab: dict[TickRef, Action] = {}
     tick_index: dict[ActionId, TickRef] = {}
 
     for lv in sorted(layers):
-        acting = dict(sorted((group_of[a], a) for a in layers[lv]))
-        consumed = {recv_msg[a] for a in layers[lv] if a in recv_msg}
+        acting = dict(sorted(layers[lv].items()))
+        consumed = {recv_msg[a][0] for a in acting.values() if a in recv_msg}
 
         # perm: receivers get their message on the right; everything
         # else in flight moves to the trailing zone, in current order
         old = groups
         transit = []
         for g in groups:
-            kind, key = g[-1][0]
-            if kind == "msg" and key not in consumed:
+            slot = g[-1][0]
+            if slot[0] == "msg" and slot not in consumed:
                 transit.append(g if len(g) == 1 else _Group(g[1:]))
         groups = home + transit
         joins = {}
         for i, a in acting.items():
             if a in recv_msg:
-                proc, msg = home[i][0], _msg_part(recv_msg[a])
+                proc, msg = home[i][0], recv_msg[a]
                 groups[i] = _Group((proc, msg))
                 fused = _Group([(proc[0], Prod(proc[1], msg[1]))])
                 joins[i] = Join(proc[1], msg[1]), fused
         # an unchanged group sequence is the identity route
         if groups != old:
-            route = _route(old, groups)
+            route = _route(old, groups, parts)
             if not route.is_identity():
-                steps.append(PermStep(route))
+                kept.append([("", PermStep(route))])
 
         # join: fuse each (receiver, message) pair
+        at = parts[len(groups)]
         if joins:
-            steps.append(_step(groups, joins))
+            kept.append(_step(groups, joins, at))
 
         # tick: every action of the layer; fork: each sender leaves its
         # message behind
         ticks, forks = {}, {}
-        n = len(groups)
         for i, a in acting.items():
             ((slot, in_ty),) = groups[i]
             out = home[i]
             if a in send_msg:
-                proc, msg = home[i][0], _msg_part(send_msg[a])
+                proc, msg = home[i][0], send_msg[a]
                 out = _Group([(slot, Prod(proc[1], msg[1]))])
                 forks[i] = Fork(proc[1], msg[1]), _Group((proc, msg))
             ticks[i] = Tick(in_ty, out[0][1]), out
-            tick_index[a] = TickRef(len(steps), _part_site(i, n))
+            tick_index[a] = TickRef(len(kept), at[i])
             lab[tick_index[a]] = x.actions[a]
-        steps.append(_step(groups, ticks))
+        kept.append(_step(groups, ticks, at))
         if forks:
-            steps.append(_step(groups, forks))
+            kept.append(_step(groups, forks, at))
 
     initial = tensor([g.config for g in home])
-    return Diagram(initial, tuple(steps)), lab, tick_index
+    d = Diagram(initial, tuple(par([atom for _, atom in atoms]) for atoms in kept))
+    _keep_atoms(d, kept)
+    return d, lab, tick_index
 
 
 def derived_order(

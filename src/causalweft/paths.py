@@ -136,11 +136,12 @@ _TABLES = "_paths_tables"
 
 def _tables(d: Diagram) -> _Tables:
     """The derived tables of `d`, built on first use by one pass over
-    each step's atoms (`step_atom_lists`: a loaded document's kept
-    lists, else a walk) and kept in the instance's own __dict__, so
-    they are freed with the diagram. Raises ValueError if a step reads
-    a site its cut lacks, takes one nowhere in the next cut, or has a
-    perm that hits a site of the next cut twice or never."""
+    each step's atoms (`step_atom_lists`: the lists a loaded document
+    or a compiled execution keeps, else a walk) and kept in the
+    instance's own __dict__, so they are freed with the diagram. Raises
+    ValueError if a step reads a site its cut lacks, takes one nowhere
+    in the next cut, or has a perm that hits a site of the next cut
+    twice or never."""
     tables = d.__dict__.get(_TABLES)
     if tables is not None:
         return tables

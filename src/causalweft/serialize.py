@@ -444,7 +444,7 @@ def _label_entry(entry: Any) -> tuple[TickRef, Any]:
                 and len(value) == 1 + ("target" in value)
             ):
                 return TickRef(k, path), Action(actor, target)
-    if not isinstance(entry, dict) or not {"step", "path", "value"} <= set(entry):
+    if not isinstance(entry, dict) or entry.keys() != {"step", "path", "value"}:
         raise SchemaError(f"bad label entry {entry!r}")
     k = entry["step"]  # JSON true is an int to Python, not a step
     if not isinstance(k, int) or isinstance(k, bool) or not _site_ok(entry["path"]):

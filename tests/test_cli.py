@@ -114,6 +114,18 @@ def test_a_boolean_label_step_is_an_input_error(tmp_path, capsys):
     )
 
 
+def test_a_label_entry_with_an_extra_key_is_an_input_error(tmp_path, capsys):
+    # reading it and printing it again would drop the extra key
+    doc = BOOL_STEP_DOC.replace('"step":true', '"step":0,"note":1')
+    path = write(tmp_path, "labels.json", doc)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: bad label entry "
+        "{'path': '', 'step': 0, 'note': 1, 'value': {'actor': 'p'}}\n",
+    )
+
+
 def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from causalweft.diagram import (
     labeling_faults,
     n_sites,
     site_types,
+    step_atom_lists,
     step_atoms,
     ticks,
     validate,
@@ -28,6 +29,7 @@ from causalweft.lamport import (
     CyclicExecutionError,
     Execution,
     _Group,
+    _PartPaths,
     _route,
     derived_order,
     execution_from_json,
@@ -229,6 +231,23 @@ def test_each_layer_compiles_to_at_most_four_steps():
     assert layers > 1000
 
 
+def test_the_compiler_keeps_each_steps_atom_list():
+    # the kept lists stand in for a walk of each step in `paths` and
+    # `ticks`; the same steps without them must give the same tables
+    for name, x in compile_cases():
+        d, _, tick_index = to_diagram(x)
+        kept = d.__dict__["_step_atoms"]
+        assert step_atom_lists(d) is kept and len(kept) == d.n_steps, name
+        assert all(atoms == step_atoms(step) for atoms, step in zip(kept, d.steps)), name
+        walked = Diagram(d.initial, d.steps)
+        assert "_step_atoms" not in walked.__dict__
+        assert paths.cut_numbers(d) == paths.cut_numbers(walked), name
+        assert paths.step_successors(d) == paths.step_successors(walked), name
+        assert paths.tick_outputs(d) == paths.tick_outputs(walked), name
+        assert ticks(d) == ticks(walked), name
+        assert derived_order(d, tick_index) == hb_closure(x), name
+
+
 def test_every_emitted_perm_is_a_checked_bijection_onto_its_target():
     # the compiler checks each route against its slot maps, not with
     # `perm_from_table`; the full check runs here, and the target site
@@ -258,13 +277,14 @@ def test_a_bad_route_is_refused():
     A, B = Atom("A"), Atom("B")
     p, m = (("proc", "p"), A), (("msg", ("a1", "a2")), A)
     old = [_Group([p]), _Group([m])]
+    parts = _PartPaths()
     with pytest.raises(ValueError, match="^bad permutation: the layouts"):
-        _route(old, [_Group([p]), _Group([(("proc", "q"), A)])])
+        _route(old, [_Group([p]), _Group([(("proc", "q"), A)])], parts)
     with pytest.raises(ValueError, match="^bad permutation: the layouts"):
-        _route(old, [_Group([p, m]), _Group([m])])
+        _route(old, [_Group([p, m]), _Group([m])], parts)
     with pytest.raises(ValueError, match="^bad permutation: slot"):
-        _route(old, [_Group([m, (p[0], B)])])
-    route = _route(old, [_Group([m, p])])
+        _route(old, [_Group([m, (p[0], B)])], parts)
+    route = _route(old, [_Group([m, p])], parts)
     assert route.pairs == (("L", "R"), ("R", "L")) and route.faults() == []
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -37,9 +38,11 @@ from causalweft.paths import (
     step_relation,
     step_successors,
     tick_events,
+    tick_numbers,
     witness_valid,
 )
 
+from causalweft.lamport import derived_order
 from causalweft.render import to_dot
 from causalweft.verify import check_order_laws
 
@@ -364,6 +367,26 @@ def test_tick_events_follow_tree_position():
 def test_tick_events_use_step_index(two_tick):
     d3 = Diagram(Leaf(A), (Tick(A, A), Tick(A, A), Tick(A, A)))
     assert tick_events(d3, TickRef(2, "")) == (Event(2, ""), Event(3, ""))
+
+
+def test_tick_refs_with_other_path_characters_are_refused():
+    # the tree walk reads any character but L as R, so "X" would name the
+    # right tick at a site that no cut has
+    d = Diagram(Tensor(Leaf(A), Leaf(A)), (Par(Tick(A, A), Tick(A, A)),))
+    bad, good = TickRef(0, "X"), TickRef(0, "L")
+    message = "^" + re.escape(f"{bad}: path contains 'X', expected L or R") + "$"
+    with pytest.raises(ValueError, match=message):
+        tick_events(d, bad)
+    with pytest.raises(ValueError, match=message):
+        action_order(d, bad, good)
+    with pytest.raises(ValueError, match=message):
+        tick_numbers(d, [good, bad])
+    with pytest.raises(ValueError, match=message):
+        derived_order(d, {"a": good, "b": bad})
+    # the first character that is not L or R is named
+    with pytest.raises(ValueError, match="contains 'Q', expected L or R$"):
+        tick_events(d, TickRef(0, "LQRX"))
+    assert tick_events(d, TickRef(0, "R")) == (Event(0, "R"), Event(1, "R"))
 
 
 def test_action_order_is_irreflexive(small_corpus, two_tick):

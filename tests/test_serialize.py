@@ -582,9 +582,10 @@ def test_bad_label_entries_are_rejected():
     doc["labels"] = [{"step": 0, "path": "", "value": {"actor": "p", "mood": "hasty"}}]
     with pytest.raises(SchemaError, match=r"^unknown action fields \['mood'\]$"):
         diagram_from_obj(doc)
-    # a fourth key leaves the one-pass read and is ignored, as it always was
+    # a fourth key is refused: printing the entry again would drop it
     doc["labels"] = [{"step": 0, "path": "", "value": {"actor": "p"}, "note": 1}]
-    assert diagram_from_obj(doc)[1] == {TickRef(0, ""): Action("p")}
+    with pytest.raises(SchemaError, match="^bad label entry "):
+        diagram_from_obj(doc)
     # an integer actor and a null target read back as the same Action
     doc["labels"] = [{"step": 0, "path": "", "value": {"actor": 3, "target": None}}]
     assert diagram_from_obj(doc)[1] == {TickRef(0, ""): Action(3)}
