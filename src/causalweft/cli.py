@@ -145,6 +145,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_paths(args) -> int:
+    if args.limit < 0:
+        raise ValueError("limit must be >= 0")
     d, lab = _load_diagram(args.file)
     _require_valid(d)
     src = _parse_event(args.src, d)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from .diagram import Diagram, SiteRef, TickRef, site_types, sites
+from .diagram import Diagram, SiteRef, TickRef, _setfield, site_types, sites
 from .paths import Event, check_event, cut_numbers, events, step_successors, tick_outputs
 
 Pid = str | int
@@ -32,6 +32,11 @@ class Action:
 
     actor: Pid
     target: Pid | None = None
+
+    # as for the terms of `diagram`, which explains `_setfield`
+    def __init__(self, actor: Pid, target: Pid | None = None) -> None:
+        _setfield(self, "actor", actor)
+        _setfield(self, "target", target)
 
 
 @dataclass(frozen=True)

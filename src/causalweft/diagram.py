@@ -31,6 +31,24 @@ T = TypeVar("T")
 
 # ---------------------------------------------------------------------------
 # state types
+#
+# A compiled execution builds terms by the hundred, so each term class
+# has its own __init__: the one `dataclass(frozen=True)` generates looks
+# up object.__setattr__ anew per field. `dataclass` keeps a class-defined
+# __init__ and still generates eq, hash, repr and order, and assigning or
+# deleting a field still raises FrozenInstanceError. Configurations,
+# perms and parallel steps fill the instance __dict__ in one statement,
+# the cheapest way: the first two keep derived tables there anyway, and
+# step trees are walked, not read field by field. The other terms are
+# hashed, compared and read over and over, so they set each field with
+# `_setfield` and keep it in inline attribute storage; on CPython 3.11 a
+# filled __dict__ makes each later read about three times slower and
+# adds 64 bytes per instance. No __slots__: derived tables live in the
+# instance __dict__.
+
+# A constant: the setter that a frozen dataclass's own __setattr__ hides.
+_setfield = object.__setattr__
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -38,9 +56,10 @@ class Atom:
 
     name: str
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str) -> None:
+        if not name:
             raise ValueError("atom name must be nonempty")
+        _setfield(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
@@ -52,6 +71,10 @@ class Prod:
 
     left: "StateType"
     right: "StateType"
+
+    def __init__(self, left: "StateType", right: "StateType") -> None:
+        _setfield(self, "left", left)
+        _setfield(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left} x {self.right})"
@@ -73,6 +96,9 @@ class Leaf:
 
     ty: StateType
 
+    def __init__(self, ty: StateType) -> None:
+        self.__dict__["ty"] = ty
+
     def __str__(self) -> str:
         return f"[{self.ty}]"
 
@@ -86,6 +112,9 @@ class Tensor:
 
     left: "Config"
     right: "Config"
+
+    def __init__(self, left: "Config", right: "Config") -> None:
+        self.__dict__["left"], self.__dict__["right"] = left, right
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor):
@@ -194,6 +223,11 @@ class Perm:
     source: Config
     target: Config
     pairs: tuple[tuple[SiteRef, SiteRef], ...]
+
+    def __init__(
+        self, source: Config, target: Config, pairs: tuple[tuple[SiteRef, SiteRef], ...]
+    ) -> None:
+        self.__dict__.update(source=source, target=target, pairs=pairs)
 
     @cached_property
     def table(self) -> dict[SiteRef, SiteRef]:
@@ -305,6 +339,10 @@ class Tick:
     in_ty: StateType
     out_ty: StateType
 
+    def __init__(self, in_ty: StateType, out_ty: StateType) -> None:
+        _setfield(self, "in_ty", in_ty)
+        _setfield(self, "out_ty", out_ty)
+
 
 @dataclass(frozen=True)
 class Fork:
@@ -312,6 +350,10 @@ class Fork:
 
     left_ty: StateType
     right_ty: StateType
+
+    def __init__(self, left_ty: StateType, right_ty: StateType) -> None:
+        _setfield(self, "left_ty", left_ty)
+        _setfield(self, "right_ty", right_ty)
 
 
 @dataclass(frozen=True)
@@ -321,12 +363,19 @@ class Join:
     left_ty: StateType
     right_ty: StateType
 
+    def __init__(self, left_ty: StateType, right_ty: StateType) -> None:
+        _setfield(self, "left_ty", left_ty)
+        _setfield(self, "right_ty", right_ty)
+
 
 @dataclass(frozen=True)
 class PermStep:
     """Rearrange sites according to a permutation."""
 
     perm: Perm
+
+    def __init__(self, perm: Perm) -> None:
+        _setfield(self, "perm", perm)
 
 
 @dataclass(frozen=True)
@@ -339,6 +388,9 @@ class Par:
 
     left: "GlobalStep"
     right: "GlobalStep"
+
+    def __init__(self, left: "GlobalStep", right: "GlobalStep") -> None:
+        self.__dict__["left"], self.__dict__["right"] = left, right
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Par):
@@ -647,6 +699,10 @@ class TickRef:
 
     step: int
     path: str
+
+    def __init__(self, step: int, path: str) -> None:
+        _setfield(self, "step", step)
+        _setfield(self, "path", path)
 
 
 def ticks(d: Diagram) -> tuple[TickRef, ...]:

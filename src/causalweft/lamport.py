@@ -67,6 +67,7 @@ from .diagram import (
 from .paths import future_rows, set_bits, tick_numbers
 from .serialize import (
     SchemaError,
+    _plain_action,
     label_value_from_obj,
     label_value_to_obj,
     nesting_guard,
@@ -433,9 +434,11 @@ def execution_from_obj(obj: Any) -> Execution:
         raise SchemaError(f"actions must be an object, got {raw_actions!r}")
     actions = {}
     for a, meta in raw_actions.items():
-        value = label_value_from_obj(meta)
-        if not isinstance(value, Action):
-            raise SchemaError(f"action {a!r} needs an actor, got {meta!r}")
+        value = _plain_action(meta)
+        if value is None:
+            value = label_value_from_obj(meta)
+            if not isinstance(value, Action):
+                raise SchemaError(f"action {a!r} needs an actor, got {meta!r}")
         actions[a] = value
     return Execution(processes, frozenset(messages), actions)
 

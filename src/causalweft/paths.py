@@ -431,12 +431,26 @@ def tick_events(d: Diagram, ref: TickRef) -> tuple[Event, Event]:
 
 def tick_numbers(d: Diagram, refs: Sequence[TickRef]) -> list[tuple[int, int]]:
     """For each tick, the event numbers of the two events `tick_events`
-    names: its before-event and its after-event. Checks every ref, in
-    order, as `tick_events` does, before reading the tables."""
-    for ref in refs:
-        tick_at(d, ref)
-    numbers = _tables(d).numbers
-    return [(numbers[r.step][r.path], numbers[r.step + 1][r.path]) for r in refs]
+    names: its before-event and its after-event. A ref whose after-event
+    the tables record as that tick's output is read off them; any other
+    ref is checked by `tick_at`, in order, so a bad ref raises what
+    `tick_events` raises. If the tables cannot be built, every ref is
+    checked first, and then the tables' error is raised."""
+    try:
+        tables = _tables(d)
+    except (ValueError, TypeError):
+        for ref in refs:
+            tick_at(d, ref)
+        raise
+    numbers, outputs, last = tables.numbers, tables.ticks, len(tables.numbers) - 1
+    out = []
+    for r in refs:
+        k, p = r.step, r.path
+        named = type(k) is int and type(p) is str and 0 <= k < last
+        if not named or outputs.get(numbers[k + 1].get(p)) != (k, p):
+            tick_at(d, r)
+        out.append((numbers[k][p], numbers[k + 1][p]))
+    return out
 
 
 def action_order(d: Diagram, r1: TickRef, r2: TickRef) -> bool:

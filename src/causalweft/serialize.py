@@ -428,22 +428,33 @@ def diagram_from_obj(obj: Any) -> tuple[Diagram, dict[TickRef, Any]]:
     return d, lab
 
 
+def _plain_action(obj: Any) -> Action | None:
+    """The action `label_value_from_obj` reads from `obj`, if `obj` has
+    the common shape: an object with a string actor and, optionally, a
+    string or null target, and no other key. None for any other value,
+    which `label_value_from_obj` then reads or refuses. One pass."""
+    if type(obj) is dict:
+        actor, target = obj.get("actor"), obj.get("target")
+        if (
+            type(actor) is str
+            and (target is None or type(target) is str)
+            and len(obj) == 1 + ("target" in obj)
+        ):
+            return Action(actor, target)
+    return None
+
+
 def _label_entry(entry: Any) -> tuple[TickRef, Any]:
     """One label entry read back. The common shape, an int step, an L/R
-    path and an action with a string actor and a string or null target,
-    is read in one pass; any other entry goes through the checks in
-    order, so the first that fails names the fault."""
+    path and a plain action (`_plain_action`), is read in one pass; any
+    other entry goes through the checks in order, so the first that
+    fails names the fault."""
     if type(entry) is dict and len(entry) == 3:
-        k, path, value = entry.get("step"), entry.get("path"), entry.get("value")
-        path_ok = type(path) is str and not path.strip("LR")
-        if type(k) is int and path_ok and type(value) is dict:
-            actor, target = value.get("actor"), value.get("target")
-            if (
-                type(actor) is str
-                and (target is None or type(target) is str)
-                and len(value) == 1 + ("target" in value)
-            ):
-                return TickRef(k, path), Action(actor, target)
+        k, path = entry.get("step"), entry.get("path")
+        if type(k) is int and type(path) is str and not path.strip("LR"):
+            action = _plain_action(entry.get("value"))
+            if action is not None:
+                return TickRef(k, path), action
     if not isinstance(entry, dict) or entry.keys() != {"step", "path", "value"}:
         raise SchemaError(f"bad label entry {entry!r}")
     k = entry["step"]  # JSON true is an int to Python, not a step

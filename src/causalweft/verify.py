@@ -383,6 +383,8 @@ def check_clock_laws(
     """Sampled check of the clock algebra: leq is a preorder, increment
     and merge (in both argument orders) never lose ground. Transitivity
     is fed constructed chains so its premise is routinely inhabited."""
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     rng = random.Random(seed)
     tally: dict[str, int] = {}
     failures: list[LawFailure] = []

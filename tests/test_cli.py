@@ -231,6 +231,21 @@ def test_paths_enumerates_witnesses(tmp_path, capsys):
     ]
 
 
+def test_negative_counts_are_input_errors(tmp_path, capsys):
+    path = write(tmp_path, "swapped.json", swapped_diamond_doc())
+    for argv, text in (
+        (["paths", path, "--from", "0:L", "--to", "N:R", "--limit", "-3"], "limit"),
+        (["laws", "--clock", "vector", "--samples", "-5"], "samples"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {text} must be >= 0\n")
+    # zero is no limit, and no samples
+    assert main(["paths", path, "--from", "0:L", "--to", "N:R", "--limit", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert main(["laws", "--clock", "vector", "--samples", "0"]) == 0
+    assert capsys.readouterr().out == "clock vector: 0 samples, 0 law failures\n"
+
+
 def test_paths_follow_a_span_longer_than_the_recursion_limit(tmp_path, capsys):
     long = Diagram(Leaf(A), (Tick(A, A),) * 1200)
     path = write(tmp_path, "long.json", diagram_to_json(long))

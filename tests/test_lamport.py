@@ -1,4 +1,5 @@
 import gc
+import random
 import re
 import weakref
 
@@ -42,7 +43,7 @@ from causalweft.lamport import (
 )
 from causalweft import paths
 from causalweft.paths import action_order
-from causalweft.serialize import SchemaError
+from causalweft.serialize import SchemaError, _label_entry, label_value_from_obj
 from causalweft.verify import check_clock_condition
 
 
@@ -438,10 +439,8 @@ def test_derived_order_raises_for_the_first_bad_id_in_sorted_order():
         assert str(err.value) == "TickRef(step=1, path='') names a Join, not a tick"
 
 
-def test_derived_order_resolves_each_tick_once(monkeypatch):
-    x = gen_execution(910, max_processes=8, max_actions=800)
-    assert (len(x.processes), len(x.action_ids())) == (8, 797)
-    d, _, tick_index = to_diagram(x)
+def counted_tick_at(monkeypatch):
+    """The refs `paths` walks with `tick_at` from now on, in call order."""
     calls, tick_at = [], paths.tick_at
 
     def counting_tick_at(d, ref):
@@ -449,8 +448,78 @@ def test_derived_order_resolves_each_tick_once(monkeypatch):
         return tick_at(d, ref)
 
     monkeypatch.setattr(paths, "tick_at", counting_tick_at)
+    return calls
+
+
+def test_derived_order_resolves_each_tick_once(monkeypatch):
+    x = gen_execution(910, max_processes=8, max_actions=800)
+    assert (len(x.processes), len(x.action_ids())) == (8, 797)
+    d, _, tick_index = to_diagram(x)
+    calls = counted_tick_at(monkeypatch)
+    # every ref names a tick output of the tables, so none is walked
     assert derived_order(d, tick_index) == hb_closure(x)
-    assert len(calls) == len(tick_index)
+    assert calls == []
+    # any other ref is walked once, and the first to fail raises
+    d, _, tick_index = to_diagram(PING)
+    fork, out_of_range = TickRef(1, "L"), TickRef(5, "L")
+    with pytest.raises(ValueError, match="names a Fork"):
+        derived_order(d, {**tick_index, "a3": fork, "a4": out_of_range})
+    assert calls == [fork]
+    # when the tables cannot be built, each ref is walked once, in order
+    A = Atom("A")
+    ill_typed = Diagram(Leaf(A), (Tick(A, A), Tick(A, A), Join(A, A)))
+    index = {"a": TickRef(0, ""), "b": TickRef(1, "")}
+    calls.clear()
+    with pytest.raises(ValueError, match="step 2 reads site 'L', missing at cut 2"):
+        derived_order(ill_typed, index)
+    assert calls == [TickRef(0, ""), TickRef(1, "")]
+
+
+# refs that may name no tick: each is walked, once per diagram
+ODD_REFS = [
+    TickRef(1, "L"),
+    TickRef(5, "L"),
+    TickRef(-1, ""),
+    TickRef(0, "LL"),
+    TickRef(0, "X"),
+    TickRef(True, ""),
+    TickRef(0, 7),
+]
+
+
+def test_a_diagram_built_in_code_orders_and_fails_as_its_compiled_twin(monkeypatch):
+    # the twin has the same steps and no kept atom lists, so its tables
+    # come from a walk of each step
+    calls = counted_tick_at(monkeypatch)
+
+    def outcome(d, tick_index):
+        try:
+            return derived_order(d, tick_index)
+        except (ValueError, AttributeError) as err:
+            return type(err), str(err)
+
+    raised = dict.fromkeys(ODD_REFS, 0)
+    for name, x in [("ping", PING)] + [
+        (f"seed {seed}", gen_execution(seed, max_processes=4, max_actions=20))
+        for seed in range(30)
+    ]:
+        d, _, tick_index = to_diagram(x)
+        twin = Diagram(d.initial, d.steps)
+        assert "_step_atoms" not in twin.__dict__
+        order = derived_order(twin, tick_index)
+        assert order == derived_order(d, tick_index) == hb_closure(x), name
+        assert calls == [], name
+        if len(tick_index) < 2:
+            continue
+        first = min(tick_index)
+        for odd in ODD_REFS:
+            index = {**tick_index, first: odd}
+            got = outcome(d, index)
+            assert outcome(twin, index) == got, (name, odd)
+            assert len(calls) <= 2 and all(r is odd for r in calls), (name, odd)
+            raised[odd] += isinstance(got, tuple)
+            calls.clear()
+    assert all(raised.values()), raised
 
 
 # ---------------------------------------------------------------------------
@@ -482,3 +551,57 @@ def test_execution_json_errors():
         execution_from_obj(
             {"processes": {"p1": ["a1"]}, "messages": [], "actions": {"a1": {}}}
         )
+
+
+def random_action_meta(rng):
+    """An action's metadata: mostly objects with an actor, of every kind
+    of actor and target JSON has, sometimes with a key too many, and
+    sometimes no object at all."""
+    scalars = ["p1", "", "é", 0, 7, -3, True, False, None, 1.5, [], ["p"], {}]
+    if rng.random() < 0.1:
+        return rng.choice(scalars + [[{"actor": "p1"}], {"target": "p1"}])
+    meta = {"actor": rng.choice(scalars)}
+    if rng.random() < 0.7:
+        meta["target"] = rng.choice(scalars)
+    if rng.random() < 0.15:
+        meta[rng.choice(["note", "Actor", "targets"])] = rng.choice(scalars)
+    return meta
+
+
+def test_the_one_pass_action_read_agrees_with_label_value_from_obj():
+    # `execution_from_obj` and the loader's label entries read the common
+    # action shape in one pass, and hand any other to the ordered checks
+    rng = random.Random(17)
+
+    class Refused(str):
+        pass
+
+    def read(f, *args):
+        try:
+            return f(*args)
+        except SchemaError as err:
+            return Refused(err)
+
+    kinds = set()
+    for _ in range(2000):
+        meta = random_action_meta(rng)
+        label = read(label_value_from_obj, meta)
+        entry = read(_label_entry, {"step": 0, "path": "L", "value": meta})
+        if isinstance(label, Refused):
+            assert type(entry) is Refused and entry == label, meta
+        else:
+            assert entry == (TickRef(0, "L"), label), meta
+        want = label
+        if not isinstance(label, (Action, Refused)):
+            want = Refused(f"action 'a1' needs an actor, got {meta!r}")
+        doc = {"processes": {"p1": ["a1"]}, "messages": [], "actions": {"a1": meta}}
+        got = read(lambda: execution_from_obj(doc).actions["a1"])
+        assert type(got) is type(want) and got == want, meta
+        if isinstance(want, Action):
+            # == takes 1 for True: compare the field types too
+            types = type(want.actor), type(want.target)
+            assert (type(got.actor), type(got.target)) == types, meta
+            assert (type(entry[1].actor), type(entry[1].target)) == types, meta
+        kinds.add("action" if isinstance(want, Action) else want[:24])
+    # actions, and each of the four refusals
+    assert len(kinds) == 5, kinds
