@@ -29,7 +29,7 @@ from .serialize import (
     diagram_from_json,
     diagram_hash,
     diagram_to_json,
-    nesting_guard,
+    read_json,
     to_canonical_json,
     witness_to_obj,
 )
@@ -98,12 +98,7 @@ def _parse_event(text: str, d: Diagram) -> Event:
 def _load_valuation(path: str | None, clock, d: Diagram):
     if path is None:
         return zero_valuation(clock, d.initial)
-    text = _read(path)
-    with nesting_guard():
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"valuation file is not JSON: {e}") from None
+    obj = read_json(_read(path), what="valuation file is ")
     if not isinstance(obj, dict):
         raise SchemaError(f"valuation must be a site-to-timestamp object")
     out = {}

@@ -343,8 +343,11 @@ def event_stamps(
     the object on, a tick increments it, and a join merges its left
     input (the lower number, so the first to arrive) with its right.
     With `stop`, only the stamps up to cut `stop` are final and no later
-    label is read. Raises ValueError for valuation keys other than the
-    initial sites, a step that reads a missing site, or an unlabeled tick."""
+    label is read. Raises ValueError for a `stop` outside 0..n_steps,
+    valuation keys other than the initial sites, a step that reads a
+    missing site, or an unlabeled tick."""
+    if stop is not None and not 0 <= stop <= d.n_steps:
+        raise ValueError(f"cut {stop} out of range 0..{d.n_steps}")
     want = site_types(d.initial)
     if valuation.keys() != want.keys():
         raise ValueError(

@@ -717,6 +717,8 @@ def ticks(d: Diagram) -> tuple[TickRef, ...]:
 
 def tick_at(d: Diagram, ref: TickRef) -> Tick:
     """Resolve a TickRef to the Tick it names."""
+    if type(ref.step) is not int or type(ref.path) is not str:
+        raise ValueError(f"{ref}: step must be an int and path a string")
     if not 0 <= ref.step < d.n_steps:
         raise ValueError(f"step {ref.step} out of range 0..{d.n_steps - 1}")
     # the walk below reads any character but L as R

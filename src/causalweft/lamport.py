@@ -65,13 +65,7 @@ from .diagram import (
     tensor,
 )
 from .paths import future_rows, set_bits, tick_numbers
-from .serialize import (
-    SchemaError,
-    _plain_action,
-    label_value_from_obj,
-    label_value_to_obj,
-    nesting_guard,
-)
+from .serialize import SchemaError, label_value_from_obj, label_value_to_obj, read_json
 from .verify import warshall
 
 ActionId = str
@@ -434,24 +428,15 @@ def execution_from_obj(obj: Any) -> Execution:
         raise SchemaError(f"actions must be an object, got {raw_actions!r}")
     actions = {}
     for a, meta in raw_actions.items():
-        value = _plain_action(meta)
-        if value is None:
-            value = label_value_from_obj(meta)
-            if not isinstance(value, Action):
-                raise SchemaError(f"action {a!r} needs an actor, got {meta!r}")
+        value = label_value_from_obj(meta)
+        if not isinstance(value, Action):
+            raise SchemaError(f"action {a!r} needs an actor, got {meta!r}")
         actions[a] = value
     return Execution(processes, frozenset(messages), actions)
 
 
 def execution_from_json(text: str) -> Execution:
-    import json
-
-    with nesting_guard():
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"not JSON: {e}") from None
-    return execution_from_obj(obj)
+    return read_json(text, execution_from_obj)
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,14 @@ table met again on the same configuration object is checked and
 rebuilt once. A table met for the first time is read in one pass: its
 keys against the site table, its values as strings, then one stack
 merge over the values in order that builds the target and its site
-table; only a table that fails there goes through the checks one by
-one, in their fixed order, to name its fault. Label values of the form
-{"actor": ..., "target": ...} are read back as Actions, whose actor
-and target must be strings or integers; anything else passes through
-as plain JSON. A label entry of the common shape (an int step, an L/R
-path, string actor and target) is read in one pass too.
+table. That pass is the only perm builder; a table it refuses goes
+through the checks one by one, in their fixed order, only to name its
+fault (`_perm_fault`). Label values of the form {"actor": ...,
+"target": ...} are read back as Actions, whose actor and target must
+be strings or integers; anything else passes through as plain JSON.
+`label_value_from_obj`, the one action read for labels and executions,
+reads the common shape (string actor and target) in one pass, as a
+label entry reads its int step and L/R path.
 
 Printing is canonical (sorted keys, no whitespace, labels sorted by
 step then path), so parse-then-print is byte-stable and documents can
@@ -45,16 +47,18 @@ diagram in one pass (`_Writer`): the bytes are those of `json.dumps`
 with sorted keys over the document's JSON value, but no such value is
 built, and each shared node (an idle hold, an atom) is written once.
 
-Reading recurses: the stdlib `json` parse and the reader's walks go
-once per level of nesting, so a document nested deeper than the
-recursion limit (about 1000 levels; a configuration or type adds two
-per node) is rejected with a SchemaError, not a RecursionError
-(`nesting_guard`). A perm's target is rebuilt from its flat table with
-an explicit stack, so it may nest deeper than that. Writing uses
-explicit stacks and refuses, with the same SchemaError, a document
-nested more than the recursion limit less 100 levels (900 by default,
-a left-nested tensor of 449 sites), the room left for the frames the
-reader runs under, so it writes nothing the reader cannot read.
+Every JSON text (a diagram, an execution, a valuation) is parsed by
+`read_json`, which turns bad JSON into a SchemaError. Reading
+recurses: the stdlib `json` parse and the reader's walks go once per
+level of nesting, so a document nested deeper than the recursion limit
+(about 1000 levels; a configuration or type adds two per node) is
+rejected with a SchemaError, not a RecursionError. A perm's target is
+rebuilt from its flat table with an explicit stack, so it may nest
+deeper than that. Writing uses explicit stacks and refuses, with the
+same SchemaError, a document nested more than the recursion limit less
+100 levels (900 by default, a left-nested tensor of 449 sites), the
+room left for the frames the reader runs under, so it writes nothing
+the reader cannot read.
 """
 
 from __future__ import annotations
@@ -63,9 +67,8 @@ import hashlib
 import json
 import sys
 from bisect import bisect_left
-from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _string
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Mapping, NoReturn
 
 from .clocks import Action
 from .diagram import (
@@ -99,13 +102,14 @@ class SchemaError(ValueError):
     """The JSON does not describe a diagram."""
 
 
-@contextmanager
-def nesting_guard() -> Iterator[None]:
-    """Read one JSON document: a RecursionError inside becomes a
-    SchemaError. Used only where documents cross the JSON boundary, so
-    a recursion bug elsewhere still surfaces as itself."""
+def read_json(text: str, read: Callable[[Any], Any] = lambda obj: obj, what: str = "") -> Any:
+    """`read` of the JSON value in `text`. Bad JSON raises SchemaError
+    (`what` + "not JSON: ..."), and a RecursionError in the parse or in
+    `read`, and only there, becomes "document nests too deeply"."""
     try:
-        yield
+        return read(json.loads(text))
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{what}not JSON: {e}") from None
     except RecursionError:
         raise SchemaError("document nests too deeply") from None
 
@@ -128,6 +132,38 @@ def _site_ok(s: Any) -> bool:
     return isinstance(s, str) and not s.strip("LR")
 
 
+def _perm_fault(table: dict, context: Config | None) -> NoReturn:
+    """Raise the SchemaError naming the first check, in a fixed order,
+    that a table `_Reader.good_perm` refused fails. The last finds the
+    first pre-order node that is neither a leaf nor split into L and R
+    halves; sorted values are in pre-order, so a node is the slice
+    [i, j) of those below it."""
+    for s, t in table.items():
+        if not _site_ok(s) or not _site_ok(t):
+            raise SchemaError(f"bad site in perm table: {s!r} -> {t!r}")
+    if context is None:
+        raise SchemaError("perm step in a position with no known configuration")
+    types = site_types(context)
+    if table.keys() != types.keys():
+        raise SchemaError(
+            f"perm table keys {sorted(table)} do not match the sites "
+            f"{sorted(types)} at this position"
+        )
+    if len(set(table.values())) != len(table):
+        raise SchemaError(f"perm table is not injective: {table!r}")
+    paths = sorted(table.values())
+    todo = [("", 0, len(paths))]
+    while todo:
+        prefix, i, j = todo.pop()
+        if j - i == 1 and paths[i] == prefix:
+            continue
+        m = bisect_left(paths, prefix + "R", i, j)
+        if paths[i] == prefix or m == i or m == j:
+            raise SchemaError(f"table paths {paths[i:j]} do not form a tree")
+        todo += ((prefix + "R", m, j), (prefix + "L", i, m))
+    raise AssertionError(f"good_perm refused a sound perm table: {table!r}")
+
+
 def step_from_obj(obj: Any, context: Config | None = None) -> GlobalStep:
     """Parse a step. `context` is the configuration the step is applied
     to; it is how a perm learns its source and is threaded into par
@@ -139,7 +175,8 @@ class _Reader:
     """One call's parse, freed with it. Equal terms it builds are one
     object, so `check_boundary` settles a well-typed node by `is`; each
     method recurses once per level of nesting, as `json` does, so
-    `nesting_guard` bounds both alike."""
+    `read_json` bounds both alike. `good_perm` builds every perm it
+    reads."""
 
     __slots__ = ("terms", "atom_steps", "perms")
 
@@ -215,7 +252,7 @@ class _Reader:
             step = None
         if step is not None:
             return step
-        perm = self.good_perm(table, context) or self.checked_perm(table, context)
+        perm = self.good_perm(table, context) or _perm_fault(table, context)
         step = self.perms[key] = PermStep(perm)
         return step
 
@@ -255,52 +292,6 @@ class _Reader:
         if paths != [""]:
             return None
         return _keep_onto(Perm(context, nodes[0], pairs), target_types)
-
-    def checked_perm(self, table: Any, context: Config | None) -> Perm:
-        """The perm of a table that `good_perm` refused, checked in order
-        so that the first check it fails names the fault."""
-        for s, t in table.items():
-            if not _site_ok(s) or not _site_ok(t):
-                raise SchemaError(f"bad site in perm table: {s!r} -> {t!r}")
-        if context is None:
-            raise SchemaError("perm step in a position with no known configuration")
-        types = site_types(context)
-        if table.keys() != types.keys():
-            raise SchemaError(
-                f"perm table keys {sorted(table)} do not match the sites "
-                f"{sorted(types)} at this position"
-            )
-        if len(set(table.values())) != len(table):
-            raise SchemaError(f"perm table is not injective: {table!r}")
-        if all(s == t for s, t in table.items()):
-            target, target_types = context, types
-        else:
-            # the value paths, sorted, are the target's sites in order
-            back = {t: s for s, t in table.items()}
-            target_types = {p: types[back[p]] for p in sorted(back)}
-            target = self.target(list(target_types), target_types.__getitem__)
-        return _keep_onto(Perm(context, target, tuple(sorted(table.items()))), target_types)
-
-    def target(self, paths: list[str], type_of) -> Config:
-        """The configuration whose leaf set is the sorted `paths`. Sorted
-        order is pre-order, so one pass with a stack visits each node as
-        the slice [i, j) of paths below it, merges its halves once built,
-        and reports the first node that is neither a leaf nor split."""
-        done: list[Config] = []
-        todo: list[tuple[str | None, int, int]] = [("", 0, len(paths))]
-        while todo:
-            prefix, i, j = todo.pop()
-            if prefix is None:  # both halves of a node are built
-                right = done.pop()
-                done[-1] = self.term(Tensor, done[-1], right)
-            elif j - i == 1 and paths[i] == prefix:
-                done.append(self.term(Leaf, type_of(prefix)))
-            else:
-                m = bisect_left(paths, prefix + "R", i, j)
-                if paths[i] == prefix or m == i or m == j:
-                    raise SchemaError(f"table paths {paths[i:j]} do not form a tree")
-                todo += ((None, 0, 0), (prefix + "R", m, j), (prefix + "L", i, m))
-        return done[0]
 
     def step(
         self,
@@ -370,6 +361,19 @@ def _pid_ok(p: Any) -> bool:
 
 
 def label_value_from_obj(obj: Any) -> Any:
+    """A label value read back: an object with an actor is an Action,
+    anything else is plain JSON. The common shape, a string actor, an
+    optional string or null target and no other key, is read in one
+    pass; any other object with an actor goes through the checks in
+    order, so the first that fails names the fault."""
+    if type(obj) is dict:
+        actor, target = obj.get("actor"), obj.get("target")
+        if (
+            type(actor) is str
+            and (target is None or type(target) is str)
+            and len(obj) == 1 + ("target" in obj)
+        ):
+            return Action(actor, target)
     if isinstance(obj, dict) and "actor" in obj:
         extra = set(obj) - {"actor", "target"}
         if extra:
@@ -428,33 +432,15 @@ def diagram_from_obj(obj: Any) -> tuple[Diagram, dict[TickRef, Any]]:
     return d, lab
 
 
-def _plain_action(obj: Any) -> Action | None:
-    """The action `label_value_from_obj` reads from `obj`, if `obj` has
-    the common shape: an object with a string actor and, optionally, a
-    string or null target, and no other key. None for any other value,
-    which `label_value_from_obj` then reads or refuses. One pass."""
-    if type(obj) is dict:
-        actor, target = obj.get("actor"), obj.get("target")
-        if (
-            type(actor) is str
-            and (target is None or type(target) is str)
-            and len(obj) == 1 + ("target" in obj)
-        ):
-            return Action(actor, target)
-    return None
-
-
 def _label_entry(entry: Any) -> tuple[TickRef, Any]:
-    """One label entry read back. The common shape, an int step, an L/R
-    path and a plain action (`_plain_action`), is read in one pass; any
-    other entry goes through the checks in order, so the first that
-    fails names the fault."""
-    if type(entry) is dict and len(entry) == 3:
+    """One label entry read back. The common shape, an int step and an
+    L/R path beside the value, is read in one pass; any other entry goes
+    through the checks in order, so the first that fails names the
+    fault."""
+    if type(entry) is dict and len(entry) == 3 and "value" in entry:
         k, path = entry.get("step"), entry.get("path")
         if type(k) is int and type(path) is str and not path.strip("LR"):
-            action = _plain_action(entry.get("value"))
-            if action is not None:
-                return TickRef(k, path), action
+            return TickRef(k, path), label_value_from_obj(entry["value"])
     if not isinstance(entry, dict) or entry.keys() != {"step", "path", "value"}:
         raise SchemaError(f"bad label entry {entry!r}")
     k = entry["step"]  # JSON true is an int to Python, not a step
@@ -636,12 +622,7 @@ def _check_nesting(value: Any, room: int) -> None:
 
 
 def diagram_from_json(text: str) -> tuple[Diagram, dict[TickRef, Any]]:
-    with nesting_guard():
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"not JSON: {e}") from None
-        return diagram_from_obj(obj)
+    return read_json(text, diagram_from_obj)
 
 
 def diagram_hash(d: Diagram, lab: Mapping[TickRef, Any] | None = None) -> str:
@@ -663,9 +644,10 @@ def witness_from_obj(obj: Any) -> PathWitness:
     for entry in obj:
         if not isinstance(entry, dict) or set(entry) != {"cut", "site"}:
             raise SchemaError(f"bad witness event {entry!r}")
-        if not isinstance(entry["cut"], int) or not _site_ok(entry["site"]):
+        cut = entry["cut"]  # JSON true is an int to Python, not a cut
+        if not isinstance(cut, int) or isinstance(cut, bool) or not _site_ok(entry["site"]):
             raise SchemaError(f"bad witness event {entry!r}")
-        cuts.append(entry["cut"])
+        cuts.append(cut)
         trail.append(entry["site"])
     if cuts != list(range(cuts[0], cuts[0] + len(cuts))):
         raise SchemaError(f"witness cuts {cuts} are not consecutive")

@@ -310,6 +310,16 @@ def test_timestamps_reject_bad_valuation_files(tmp_path, flow_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_valuation_file_that_is_not_json_is_an_input_error(tmp_path, flow_file, capsys):
+    val = write(tmp_path, "val.json", '{"L": ')
+    assert main(["timestamps", flow_file, "--clock", "scalar", "--valuation", val]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: valuation file is not JSON: Expecting value: line 1 column 7 (char 6)\n"
+    )
+
+
 def test_timestamps_reject_non_integer_matrix_counts(tmp_path, flow_file, capsys):
     stamp = {"owner": "p1", "matrix": {"p1": {"p1": "x"}}}
     val = write(tmp_path, "val.json", json.dumps({"L": stamp, "R": stamp}))

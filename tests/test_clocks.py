@@ -9,6 +9,7 @@ from causalweft.clocks import (
     MatrixStamp,
     by_name,
     clock_at,
+    event_stamps,
     rst_clock,
     scalar_clock,
     stamp_from_obj,
@@ -336,6 +337,20 @@ def test_clock_at_reads_no_label_past_the_events_cut(small_corpus):
             for e in events(d):
                 head = {r: a for r, a in lab.items() if r.step < e.cut}
                 assert clock_at(d, head, clock, v, e) == clock_at(d, lab, clock, v, e)
+
+
+def test_event_stamps_refuse_a_stop_outside_the_cuts(message_flow):
+    # a negative stop would count from the end, one past the last cut
+    # would index past the cut table
+    d, lab = message_flow
+    c = scalar_clock()
+    v = zero_valuation(c, d.initial)
+    n = d.n_steps
+    for stop in (-1, -n, n + 1):
+        with pytest.raises(ValueError, match=rf"^cut {stop} out of range 0\.\.{n}$"):
+            event_stamps(d, lab, c, v, stop)
+    assert event_stamps(d, lab, c, v, n) == event_stamps(d, lab, c, v)
+    assert event_stamps(d, lab, c, v, 0)[: len(v)] == list(v.values())
 
 
 # ---------------------------------------------------------------------------

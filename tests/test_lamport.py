@@ -4,6 +4,7 @@ import re
 import weakref
 
 import pytest
+from reference_reads import reference_label_value
 
 from causalweft.clocks import Action, by_name
 from causalweft.diagram import (
@@ -569,8 +570,10 @@ def random_action_meta(rng):
 
 
 def test_the_one_pass_action_read_agrees_with_label_value_from_obj():
-    # `execution_from_obj` and the loader's label entries read the common
-    # action shape in one pass, and hand any other to the ordered checks
+    # `label_value_from_obj` reads the common action shape in one pass
+    # and hands any other to the ordered checks; label entries and
+    # `execution_from_obj` read actions through it, and all three agree
+    # with the ordered checks alone
     rng = random.Random(17)
 
     class Refused(str):
@@ -585,7 +588,9 @@ def test_the_one_pass_action_read_agrees_with_label_value_from_obj():
     kinds = set()
     for _ in range(2000):
         meta = random_action_meta(rng)
-        label = read(label_value_from_obj, meta)
+        label = read(reference_label_value, meta)
+        value = read(label_value_from_obj, meta)
+        assert type(value) is type(label) and value == label, meta
         entry = read(_label_entry, {"step": 0, "path": "L", "value": meta})
         if isinstance(label, Refused):
             assert type(entry) is Refused and entry == label, meta
@@ -601,6 +606,7 @@ def test_the_one_pass_action_read_agrees_with_label_value_from_obj():
             # == takes 1 for True: compare the field types too
             types = type(want.actor), type(want.target)
             assert (type(got.actor), type(got.target)) == types, meta
+            assert (type(value.actor), type(value.target)) == types, meta
             assert (type(entry[1].actor), type(entry[1].target)) == types, meta
         kinds.add("action" if isinstance(want, Action) else want[:24])
     # actions, and each of the four refusals

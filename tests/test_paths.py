@@ -389,6 +389,21 @@ def test_tick_refs_with_other_path_characters_are_refused():
     assert tick_events(d, TickRef(0, "R")) == (Event(0, "R"), Event(1, "R"))
 
 
+def test_tick_refs_of_other_field_types_are_refused():
+    # a non-string path or a non-int step would fail inside the walk, and
+    # a bool step would read as 0 or 1
+    d = Diagram(Tensor(Leaf(A), Leaf(A)), (Par(Tick(A, A), Tick(A, A)),))
+    good = TickRef(0, "L")
+    for bad in (TickRef(0, 7), TickRef(0, None), TickRef("0", ""), TickRef(True, "L")):
+        message = "^" + re.escape(f"{bad}: step must be an int and path a string") + "$"
+        with pytest.raises(ValueError, match=message):
+            tick_events(d, bad)
+        with pytest.raises(ValueError, match=message):
+            action_order(d, good, bad)
+        with pytest.raises(ValueError, match=message):
+            derived_order(d, {"a": good, "b": bad})
+
+
 def test_action_order_is_irreflexive(small_corpus, two_tick):
     from causalweft.diagram import ticks
 

@@ -6,6 +6,7 @@ from dataclasses import fields, is_dataclass
 import pytest
 from conftest import corpus_params
 from reference_json import config_to_obj, reference_json, type_to_obj
+from reference_reads import reference_perm
 from test_golden import compiled_executions
 
 from causalweft.clocks import Action
@@ -34,6 +35,7 @@ from causalweft.verify import gen_diagram
 from causalweft.serialize import (
     SchemaError,
     _Reader,
+    _perm_fault,
     config_from_obj,
     diagram_from_json,
     diagram_from_obj,
@@ -337,7 +339,8 @@ def _random_tree(reader: _Reader, n: int, rng: random.Random):
 
 def test_the_one_pass_perm_read_agrees_with_the_ordered_checks():
     # every table the one pass takes gives the perm the ordered checks
-    # build; every other table fails one of those checks
+    # build; every other table fails one of those checks, and the
+    # loader's fault reporter names the same fault
     rng = random.Random(11)
     taken = refused = 0
     for _ in range(3000):
@@ -362,12 +365,17 @@ def test_the_one_pass_perm_read_agrees_with_the_ordered_checks():
         table = dict(items)
         got = reader.good_perm(table, context)
         try:
-            want = reader.checked_perm(table, context)
-        except SchemaError:
+            want = reference_perm(reader, table, context)
+        except SchemaError as fault:
             assert got is None, table
+            with pytest.raises(SchemaError) as e:
+                _perm_fault(table, context)
+            assert str(e.value) == str(fault)
             refused += 1
             continue
         assert got is not None, table
+        with pytest.raises(AssertionError):
+            _perm_fault(table, context)  # never returns, even on a sound table
         assert (got.source, got.target, got.pairs) == (want.source, want.target, want.pairs)
         assert got.target is want.target  # both hash-consed by the reader
         assert list(got.onto.items()) == list(site_types(got.target).items())
@@ -667,3 +675,13 @@ def test_witness_cuts_must_be_consecutive():
         witness_from_obj([])
     with pytest.raises(SchemaError):
         witness_from_obj([{"cut": 0}])
+
+
+def test_a_bool_witness_cut_is_refused():
+    # JSON true is an int to Python, so it would read as cut 1
+    entry = {"cut": True, "site": ""}
+    with pytest.raises(SchemaError) as e:
+        witness_from_obj([{"cut": 0, "site": ""}, entry])
+    assert str(e.value) == f"bad witness event {entry!r}"
+    with pytest.raises(SchemaError, match="^bad witness event"):
+        witness_from_obj(json.loads('[{"cut":false,"site":"L"}]'))
