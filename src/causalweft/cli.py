@@ -83,11 +83,10 @@ def _parse_event(text: str, d: Diagram) -> Event:
         raise SchemaError(f"event {text!r} is not cut:site")
     if cut_text in ("N", "end"):
         cut = d.n_steps
+    elif cut_text.isascii() and cut_text.isdigit():  # `int` also reads "+1", " 1" and "1_0"
+        cut = int(cut_text)
     else:
-        try:
-            cut = int(cut_text)
-        except ValueError:
-            raise SchemaError(f"bad cut in event {text!r}") from None
+        raise SchemaError(f"bad cut in event {text!r}")
     if site == ".":
         site = ""
     if not all(c in "LR" for c in site):

@@ -30,6 +30,7 @@ from .diagram import (
     Fork,
     GlobalStep,
     Join,
+    Leaf,
     Perm,
     PermStep,
     SiteRef,
@@ -133,6 +134,9 @@ def _closure(successors: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 _TABLES = "_paths_tables"
 
+# A constant: the pairs of an idle hold, which leaves one site alone.
+_HOLD = (("", ""),)
+
 
 def _tables(d: Diagram) -> _Tables:
     """The derived tables of `d`, built on first use by one pass over
@@ -161,6 +165,10 @@ def _tables(d: Diagram) -> _Tables:
                 kind = type(atom)
                 if kind is PermStep:
                     perm = atom.perm
+                    if perm.pairs == _HOLD and type(perm.target) is Leaf:
+                        # an idle hold, taken as a tick is
+                        out[here[p] - base], nxt[p] = (j,), j
+                        continue
                     targets = perm.onto
                     if targets is None:
                         targets = site_types(perm.target)
@@ -243,11 +251,21 @@ def closure_rebuilt(d: Diagram) -> tuple[int, ...]:
 
 
 def set_bits(row: int) -> Iterator[int]:
-    """The positions of the set bits of a closure row, ascending."""
-    while row:
-        low = row & -row
-        yield low.bit_length() - 1
-        row ^= low
+    """The positions of the set bits of a closure row, ascending. A row
+    of up to 1024 bits is read a low bit at a time. Each such step
+    costs time linear in the row's width, so a wider row is read off its
+    binary text, in time linear in its width."""
+    if row.bit_length() <= 1024:
+        while row:
+            low = row & -row
+            yield low.bit_length() - 1
+            row ^= low
+    else:
+        bits = bin(row)[:1:-1]  # bit i is character i
+        i = bits.find("1")
+        while i >= 0:
+            yield i
+            i = bits.find("1", i + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -48,17 +48,20 @@ with sorted keys over the document's JSON value, but no such value is
 built, and each shared node (an idle hold, an atom) is written once.
 
 Every JSON text (a diagram, an execution, a valuation) is parsed by
-`read_json`, which turns bad JSON into a SchemaError. Reading
-recurses: the stdlib `json` parse and the reader's walks go once per
-level of nesting, so a document nested deeper than the recursion limit
-(about 1000 levels; a configuration or type adds two per node) is
-rejected with a SchemaError, not a RecursionError. A perm's target is
-rebuilt from its flat table with an explicit stack, so it may nest
-deeper than that. Writing uses explicit stacks and refuses, with the
-same SchemaError, a document nested more than the recursion limit less
-100 levels (900 by default, a left-nested tensor of 449 sites), the
-room left for the frames the reader runs under, so it writes nothing
-the reader cannot read.
+`read_json`, which turns bad JSON into a SchemaError. The stdlib
+`json` parse recurses once per level of nesting, so a text nested
+deeper than the recursion limit (about 1000 levels; a configuration,
+step or type adds two per node) is rejected with a SchemaError, not a
+RecursionError. The reader reads the left spine of each `tensor` and
+`par` in one loop and recurses only into right halves and `prod`
+types, so a JSON value whose configurations and steps nest to the
+left, as `tensor` and `par` build them, reads at any width
+(`diagram_from_obj`). A perm's target is rebuilt from its flat table
+with an explicit stack, so it may nest deeper still. Writing uses
+explicit stacks and refuses, with the same SchemaError, a document
+nested more than the recursion limit less 100 levels (900 by default,
+a left-nested tensor of 449 sites), the room left for the frames the
+`json` parse runs under, so it writes no text the reader cannot read.
 """
 
 from __future__ import annotations
@@ -171,19 +174,28 @@ def step_from_obj(obj: Any, context: Config | None = None) -> GlobalStep:
     return _Reader().step(obj, context, 0, "", [], [])[0]
 
 
+# Constants: the table and the step object of an idle hold, which leaves
+# one site alone.
+_HOLD_TABLE = {"": ""}
+_HOLD = {"perm": {"table": _HOLD_TABLE}}
+
+
 class _Reader:
     """One call's parse, freed with it. Equal terms it builds are one
-    object, so `check_boundary` settles a well-typed node by `is`; each
-    method recurses once per level of nesting, as `json` does, so
-    `read_json` bounds both alike. `good_perm` builds every perm it
-    reads."""
+    object, so `check_boundary` settles a well-typed node by `is`.
+    `config` and `step` read each left spine in one loop and recurse
+    only into its right halves, and `type` recurses once per `prod`, so
+    only nesting to the right or in types is bounded by the recursion
+    limit, which `read_json` maps to a SchemaError. `good_perm` builds
+    every perm it reads."""
 
-    __slots__ = ("terms", "atom_steps", "perms")
+    __slots__ = ("terms", "atom_steps", "perms", "holds")
 
     def __init__(self) -> None:
         self.terms: dict[Any, Any] = {}
         self.atom_steps: dict[tuple[str, int, int], tuple[AtomicStep, Config, Config]] = {}
         self.perms: dict[tuple[int, tuple], PermStep] = {}
+        self.holds: dict[int, PermStep] = {}  # the idle hold read on each context, by id
 
     def term(self, cls: type, a: Any, b: Any = None) -> Any:
         """The one `cls(a)` or `cls(a, b)` of this call, keyed by the ids
@@ -208,16 +220,28 @@ class _Reader:
         raise SchemaError(f"unknown type node {obj!r}")
 
     def config(self, obj: Any) -> Config:
+        """A configuration. A tensor's left spine is read in one loop:
+        down the spine, checking each node, then the leftmost leaf, then
+        the right halves bottom-up, so errors come in tree order."""
         if not isinstance(obj, dict) or len(obj) != 1:
             raise SchemaError(f"expected a one-key config object, got {obj!r}")
         [(key, body)] = obj.items()
-        if key == "leaf":
-            return self.term(Leaf, self.type(body))
-        if key == "tensor":
+        rights = None  # the right halves met so far, linked, the last first
+        while key == "tensor":
             if not isinstance(body, list) or len(body) != 2:
                 raise SchemaError(f"tensor takes two parts, got {body!r}")
-            return self.term(Tensor, self.config(body[0]), self.config(body[1]))
-        raise SchemaError(f"unknown config node {obj!r}")
+            rights = body[1], rights
+            obj = body[0]
+            if not isinstance(obj, dict) or len(obj) != 1:
+                raise SchemaError(f"expected a one-key config object, got {obj!r}")
+            [(key, body)] = obj.items()
+        if key != "leaf":
+            raise SchemaError(f"unknown config node {obj!r}")
+        node = self.term(Leaf, self.type(body))
+        while rights is not None:
+            right, rights = rights
+            node = self.term(Tensor, node, self.config(right))
+        return node
 
     def atom(self, kind: str, a: StateType, b: StateType) -> tuple[AtomicStep, Config, Config]:
         """The one tick, fork or join of this call over the types `a` and
@@ -254,6 +278,8 @@ class _Reader:
             return step
         perm = self.good_perm(table, context) or _perm_fault(table, context)
         step = self.perms[key] = PermStep(perm)
+        if table == _HOLD_TABLE:
+            self.holds[id(context)] = step
         return step
 
     def good_perm(self, table: dict, context: Config | None) -> Perm | None:
@@ -280,12 +306,16 @@ class _Reader:
         target_types: dict[str, StateType] = {}
         paths: list[str] = []
         nodes: list[Config] = []
+        terms = self.terms  # each node is `term`, inline
         for t, s in sorted(zip(table.values(), table)):
             ty = target_types[t] = types[s]
-            node = self.term(Leaf, ty)
+            key = (Leaf, id(ty), id(None))
+            node = terms.get(key) or terms.setdefault(key, Leaf(ty))
             while t and t[-1] == "R" and paths and paths[-1] == t[:-1] + "L":
                 paths.pop()
-                node = self.term(Tensor, nodes.pop(), node)
+                left = nodes.pop()
+                key = (Tensor, id(left), id(node))
+                node = terms.get(key) or terms.setdefault(key, Tensor(left, node))
                 t = t[:-1]
             paths.append(t)
             nodes.append(node)
@@ -308,39 +338,68 @@ class _Reader:
         `atoms` its atomic steps with their paths, as `step_atoms` lists
         them. A parsed perm has no table faults: its keys are the sites
         of its source, its values are injective and its target is
-        rebuilt."""
+        rebuilt.
+
+        A par's left spine is read in one loop, as `_Writer.text` writes
+        it: down the spine, checking each node and splitting its
+        context, then the leftmost part, then the right halves
+        bottom-up, each building its `Par` and output on the way up, so
+        faults, atoms and errors come in tree order. On the way up, an
+        idle hold on a context already read is one lookup (`holds`), and
+        a par whose halves return their own contexts returns its own."""
         if not isinstance(obj, dict) or len(obj) != 1:
             raise SchemaError(f"expected a one-key step object, got {obj!r}")
         [(key, body)] = obj.items()
-        if key == "perm":
-            step = self.perm(body, context)
-            atoms.append((path, step))
-            return step, step.perm.target
-        if key == "par":
+        # the par nodes met so far, linked, the last first: each one's
+        # right half, context, the context's right half and the half's path
+        spine = None
+        while key == "par":
             if not isinstance(body, list) or len(body) != 2:
                 raise SchemaError(f"par takes two steps, got {body!r}")
-            lctx = rctx = None
-            if isinstance(context, Tensor):
-                lctx, rctx = context.left, context.right
+            if type(context) is Tensor:
+                spine = body[1], context, context.right, path + "R", spine
+                context = context.left
             else:
                 check_boundary(faults, k, path, context, None)
-            left, lout = self.step(body[0], lctx, k, path + "L", faults, atoms)
-            right, rout = self.step(body[1], rctx, k, path + "R", faults, atoms)
-            return Par(left, right), self.term(Tensor, lout, rout)
-        if key == "tick":
-            if not (
-                isinstance(body, dict) and len(body) == 2 and "in" in body and "out" in body
-            ):
-                raise SchemaError(f"tick takes in/out types, got {body!r}")
-            step, want, out = self.atom(key, self.type(body["in"]), self.type(body["out"]))
-        elif key == "fork" or key == "join":
-            if not (isinstance(body, dict) and len(body) == 2 and "l" in body and "r" in body):
-                raise SchemaError(f"{key} takes l/r types, got {body!r}")
-            step, want, out = self.atom(key, self.type(body["l"]), self.type(body["r"]))
+                spine = body[1], context, None, path + "R", spine
+                context = None
+            obj, path = body[0], path + "L"
+            if not isinstance(obj, dict) or len(obj) != 1:
+                raise SchemaError(f"expected a one-key step object, got {obj!r}")
+            [(key, body)] = obj.items()
+        if key == "perm":
+            step = self.perm(body, context)
+            out = step.perm.target
         else:
-            raise SchemaError(f"unknown step node {obj!r}")
-        check_boundary(faults, k, path, context, want)
+            if key == "tick":
+                if not (
+                    isinstance(body, dict) and len(body) == 2 and "in" in body and "out" in body
+                ):
+                    raise SchemaError(f"tick takes in/out types, got {body!r}")
+                step, want, out = self.atom(key, self.type(body["in"]), self.type(body["out"]))
+            elif key == "fork" or key == "join":
+                if not (isinstance(body, dict) and len(body) == 2 and "l" in body and "r" in body):
+                    raise SchemaError(f"{key} takes l/r types, got {body!r}")
+                step, want, out = self.atom(key, self.type(body["l"]), self.type(body["r"]))
+            else:
+                raise SchemaError(f"unknown step node {obj!r}")
+            if context is not want:  # the one term of this call fits as it is
+                check_boundary(faults, k, path, context, want)
         atoms.append((path, step))
+        while spine is not None:
+            obj, context, right_context, path, spine = spine
+            right = self.holds.get(id(right_context)) if obj == _HOLD else None
+            if right is None:
+                right, right_out = self.step(obj, right_context, k, path, faults, atoms)
+            else:
+                atoms.append((path, right))
+                right_out = right_context
+            step = Par(step, right)
+            if right_out is right_context and out is context.left:
+                out = context
+            else:  # `term`, inline
+                key = (Tensor, id(out), id(right_out))
+                out = self.terms.get(key) or self.terms.setdefault(key, Tensor(out, right_out))
         return step, out
 
 
@@ -483,9 +542,9 @@ class _Writer:
     written as they are met, down each left spine at once.
 
     A document is refused with the reader's SchemaError when it nests
-    more than `room` JSON levels: the reader's `json` parse and walks
-    recurse once per level, under the frames of whatever called them,
-    so 100 levels of the recursion limit are left for those."""
+    more than `room` JSON levels: the reader's `json` parse recurses
+    once per level, under the frames of whatever called it, so 100
+    levels of the recursion limit are left for those."""
 
     __slots__ = ("terms", "room")
 

@@ -2,14 +2,16 @@
 
 The reads the library ran before its one-pass fast paths: every check
 in a fixed order, so the first that fails names the fault, and the
-value built only once all have passed. Tests compare the one-pass
-reads in `serialize` with these.
+value built only once all have passed; and the walks of configurations
+and steps that recurse once per level, where the library reads each
+left spine in one loop. Tests compare the reads in `serialize` with
+these.
 """
 
 from bisect import bisect_left
 
 from causalweft.clocks import Action
-from causalweft.diagram import Leaf, Perm, Tensor, site_types
+from causalweft.diagram import Leaf, Par, Perm, Tensor, check_boundary, site_types
 from causalweft.serialize import SchemaError
 
 
@@ -83,3 +85,84 @@ def reference_label_value(obj):
             )
         return Action(actor, target)
     return obj
+
+
+def reference_config(reader, obj):
+    """A configuration, read with `reader`'s shared terms, one call per
+    level."""
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise SchemaError(f"expected a one-key config object, got {obj!r}")
+    [(key, body)] = obj.items()
+    if key == "leaf":
+        return reader.term(Leaf, reader.type(body))
+    if key == "tensor":
+        if not isinstance(body, list) or len(body) != 2:
+            raise SchemaError(f"tensor takes two parts, got {body!r}")
+        return reader.term(
+            Tensor, reference_config(reader, body[0]), reference_config(reader, body[1])
+        )
+    raise SchemaError(f"unknown config node {obj!r}")
+
+
+def reference_step(reader, obj, context, k, path, faults, atoms):
+    """The node at `path` of step k applied to `context`, with its output
+    configuration, read with `reader`'s shared terms, one call per
+    level; appends its boundary faults to `faults` and its atomic steps
+    with their paths to `atoms`, in tree order."""
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise SchemaError(f"expected a one-key step object, got {obj!r}")
+    [(key, body)] = obj.items()
+    if key == "perm":
+        step = reader.perm(body, context)
+        atoms.append((path, step))
+        return step, step.perm.target
+    if key == "par":
+        if not isinstance(body, list) or len(body) != 2:
+            raise SchemaError(f"par takes two steps, got {body!r}")
+        lctx = rctx = None
+        if isinstance(context, Tensor):
+            lctx, rctx = context.left, context.right
+        else:
+            check_boundary(faults, k, path, context, None)
+        left, lout = reference_step(reader, body[0], lctx, k, path + "L", faults, atoms)
+        right, rout = reference_step(reader, body[1], rctx, k, path + "R", faults, atoms)
+        return Par(left, right), reader.term(Tensor, lout, rout)
+    if key == "tick":
+        if not (isinstance(body, dict) and len(body) == 2 and "in" in body and "out" in body):
+            raise SchemaError(f"tick takes in/out types, got {body!r}")
+        step, want, out = reader.atom(key, reader.type(body["in"]), reader.type(body["out"]))
+    elif key == "fork" or key == "join":
+        if not (isinstance(body, dict) and len(body) == 2 and "l" in body and "r" in body):
+            raise SchemaError(f"{key} takes l/r types, got {body!r}")
+        step, want, out = reader.atom(key, reader.type(body["l"]), reader.type(body["r"]))
+    else:
+        raise SchemaError(f"unknown step node {obj!r}")
+    check_boundary(faults, k, path, context, want)
+    atoms.append((path, step))
+    return step, out
+
+
+def read_document(obj, read_config, read_step):
+    """What `diagram_from_obj` reads of a diagram document before its
+    labels, with the given config and step reads: the initial
+    configuration, each step with its output configuration, the faults
+    and each step's atom list; or the class and text of the ValueError
+    (a SchemaError, or an empty atom name) that refuses the document."""
+    try:
+        if not isinstance(obj, dict):
+            raise SchemaError(f"expected a diagram object, got {obj!r}")
+        for key in ("initial", "steps"):
+            if key not in obj:
+                raise SchemaError(f"diagram object lacks {key!r}")
+        initial = read_config(obj["initial"])
+        if not isinstance(obj["steps"], list):
+            raise SchemaError(f"steps must be a list, got {obj['steps']!r}")
+        steps, faults, atoms, context = [], [], [], initial
+        for k, raw in enumerate(obj["steps"]):
+            here = []
+            step, context = read_step(raw, context, k, "", faults, here)
+            steps.append((step, context))
+            atoms.append(here)
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}"
+    return initial, steps, faults, atoms

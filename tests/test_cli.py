@@ -267,6 +267,17 @@ def test_paths_rejects_bad_coordinates(flow_file, capsys):
     assert main(["paths", flow_file, "--from", "0:LL", "--to", "N:R"]) == 2
 
 
+def test_a_cut_is_ascii_digits_n_or_end(flow_file, capsys):
+    # `int` reads each of these but the last as a cut
+    for cut in ("1_0", "١", "+1", " 1", "1 ", "-1", "¹", ""):
+        src = f"{cut}:L"
+        assert main(["paths", flow_file, f"--from={src}", "--to", "N:R"]) == 2
+        assert capsys.readouterr() == ("", f"error: bad cut in event {src!r}\n")
+    for src in ("01:L", "1:L", "0:L"):
+        assert main(["paths", flow_file, "--from", src, "--to", "end:R"]) == 0
+        capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # timestamps
 

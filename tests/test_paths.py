@@ -19,6 +19,7 @@ from causalweft.diagram import (
     TickRef,
     identity,
     noop,
+    perm_id,
     perm_swap,
     sites,
 )
@@ -38,6 +39,7 @@ from causalweft.paths import (
     step_relation,
     step_successors,
     tick_events,
+    set_bits,
     tick_numbers,
     witness_valid,
 )
@@ -427,3 +429,34 @@ def test_parallel_ticks_are_concurrent(diamond):
     r1, r2 = TickRef(1, "L"), TickRef(1, "R")
     assert not action_order(d, r1, r2)
     assert not action_order(d, r2, r1)
+
+
+def _low_bit_loop(row):
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out
+
+
+def test_set_bits_agrees_with_the_low_bit_loop_up_to_40000_bits():
+    rng = random.Random(3)
+    widths = [0, 1, 2, 64, 1023, 1024, 1025, 40000] + [rng.randrange(40001) for _ in range(8)]
+    for width in widths:
+        rows = [rng.getrandbits(width), (1 << width) - 1]
+        if width:
+            rows += [1 << (width - 1), sum(1 << rng.randrange(width) for _ in range(5))]
+        for row in rows:
+            assert list(set_bits(row)) == _low_bit_loop(row), (width, row.bit_count())
+
+
+def test_idle_holds_number_their_site_as_the_general_perm_read_does():
+    # a hold on a leaf is taken as a tick is; a perm with the hold's one
+    # pair whose target is not a leaf still fails as a perm
+    d = Diagram(Tensor(Leaf(A), Leaf(B)), (Par(noop(Leaf(A)), Tick(B, B)), noop(Tensor(Leaf(A), Leaf(B)))))
+    assert step_successors(d) == ((2,), (3,), (4,), (5,), (), ())
+    bad = PermStep(Perm(Leaf(A), Tensor(Leaf(A), Leaf(A)), (("", ""),)))
+    with pytest.raises(ValueError, match="^step 0 takes site '' of cut 0 nowhere$"):
+        events(Diagram(Leaf(A), (bad,)))
+    assert perm_id(Leaf(A)).pairs == (("", ""),)

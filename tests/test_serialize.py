@@ -6,13 +6,16 @@ from dataclasses import fields, is_dataclass
 import pytest
 from conftest import corpus_params
 from reference_json import config_to_obj, reference_json, type_to_obj
-from reference_reads import reference_perm
+from reference_reads import read_document, reference_config, reference_perm, reference_step
+from test_fuzz import mutants
 from test_golden import compiled_executions
 
+from causalweft.cli import main
 from causalweft.clocks import Action
 from causalweft.diagram import (
     Atom,
     Diagram,
+    Fault,
     Leaf,
     Par,
     Perm,
@@ -22,8 +25,10 @@ from causalweft.diagram import (
     Tick,
     TickRef,
     noop,
+    par,
     site_types,
     sites,
+    step_atom_lists,
     step_atoms,
     tensor,
     ticks,
@@ -31,7 +36,7 @@ from causalweft.diagram import (
 )
 from causalweft.lamport import to_diagram
 from causalweft.paths import PathWitness, cut_numbers, step_successors, tick_outputs
-from causalweft.verify import gen_diagram
+from causalweft.verify import GenParams, gen_diagram
 from causalweft.serialize import (
     SchemaError,
     _Reader,
@@ -445,6 +450,92 @@ def test_the_loader_keeps_each_steps_atom_list(corpus):
         assert step_successors(d) == step_successors(fresh)
         assert tick_outputs(d) == tick_outputs(fresh)
         assert ticks(d) == ticks(fresh)
+
+
+def _reads_agree(obj) -> bool:
+    """The loader's reads of a document equal the recursive reference
+    walks' (steps, output configurations, faults in order, atom lists,
+    SchemaError text), and `diagram_from_obj` keeps what they read.
+    True if the document reads."""
+    reader, ref_reader = _Reader(), _Reader()
+    got = read_document(obj, reader.config, reader.step)
+    want = read_document(
+        obj,
+        lambda o: reference_config(ref_reader, o),
+        lambda *args: reference_step(ref_reader, *args),
+    )
+    assert got == want
+    if isinstance(got, str):
+        with pytest.raises(ValueError) as e:
+            diagram_from_obj(obj)
+        assert f"{type(e.value).__name__}: {e.value}" == got
+        return False
+    initial, steps, faults, atoms = got
+    d, _ = diagram_from_obj(dict(obj, labels=[]))
+    assert d.initial == initial and list(d.steps) == [step for step, _ in steps]
+    assert validate(d) == faults
+    assert list(step_atom_lists(d)) == atoms
+    return True
+
+
+def test_the_loader_agrees_with_the_recursive_walks():
+    # the corpus, the compiled executions of the golden compile sum, and
+    # the fuzzer's mutants of both kinds of document
+    rng = random.Random(20240601)
+    docs = [diagram_to_obj(d, lab) for d, lab in (gen_diagram(corpus_params(s)) for s in range(1000))]
+    compiled = [diagram_to_obj(*to_diagram(x)[:2]) for x in compiled_executions()[:200]]
+    small = [gen_diagram(GenParams(seed=seed, max_steps=6, max_sites=5)) for seed in range(12)]
+    texts = [text for d, lab in small for text in mutants(diagram_to_obj(d, lab), rng, 40)]
+    texts += [text for obj in compiled[:8] for text in mutants(obj, rng, 20)]
+    mutated = []
+    for text in texts:
+        try:
+            mutated.append(json.loads(text))
+        except ValueError:
+            continue  # a truncated text is refused before any walk
+    read = [_reads_agree(obj) for obj in docs + compiled + mutated]
+    assert all(read[: len(docs) + len(compiled)])
+    refused = read.count(False)
+    assert refused > 300 and len(mutated) - refused > 50
+
+
+def test_a_3000_part_spine_reads_without_recursing(tmp_path, capsys):
+    # a 3000-part left-nested tensor and one left-nested par over it, a
+    # tick then idle holds, built as JSON values: the reader walks each
+    # spine in a loop, so this loads where a walk of one call per level
+    # would raise RecursionError
+    def document(first):
+        leaf = {"leaf": {"atom": "A"}}
+        initial, step = leaf, {"tick": {"in": {"atom": first}, "out": {"atom": "B"}}}
+        for _ in range(2999):
+            initial = {"tensor": [initial, leaf]}
+            step = {"par": [step, {"perm": {"table": {"": ""}}}]}
+        return {"initial": initial, "steps": [step]}
+
+    d, _ = diagram_from_obj(document("A"))
+    assert validate(d) == []
+    assert len(sites(d.initial)) == 3000
+    [kept] = d.__dict__["_step_atoms"]
+    assert kept == step_atoms(d.steps[0])
+    assert kept[0] == ("L" * 2999, Tick(A, B)) and len(kept) == 3000
+    assert d.steps[0] == par([Tick(A, B)] + [noop(Leaf(A))] * 2999)
+    # a fault at the foot of the spine is found
+    d, _ = diagram_from_obj(document("B"))
+    assert validate(d) == [Fault(0, "L" * 2999, "step expects [B], found [A]")]
+    # as text the same document is past what `json` parses
+    leaf = '{"leaf":{"atom":"A"}}'
+    tick = '{"tick":{"in":{"atom":"A"},"out":{"atom":"B"}}}'
+    hold = '{"perm":{"table":{"":""}}}'
+    text = (
+        '{"initial":' + '{"tensor":[' * 2999 + leaf + ("," + leaf + "]}") * 2999
+        + ',"steps":[' + '{"par":[' * 2999 + tick + ("," + hold + "]}") * 2999 + "]}"
+    )
+    with pytest.raises(SchemaError, match="^document nests too deeply$"):
+        diagram_from_json(text)
+    path = tmp_path / "spine.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: document nests too deeply\n")
 
 
 def test_the_parser_finds_the_faults_validate_finds():
