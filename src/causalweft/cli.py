@@ -1,5 +1,12 @@
 """Command line interface.
 
+Each command runs in three stages, each written once here: load (read
+the input and refuse a diagram that does not typecheck, `_load_valid`;
+only `validate` reads one unchecked), check (the library call), and
+report (`_report`: a JSON object under --json or text lines, exit 1
+when a check fails; documents, renderings and the text listing of
+`timestamps` are written by `_emit`).
+
 Exit codes: 0 on success, 1 when a check found violations, 2 when the
 input was malformed (unreadable file, bad JSON, bad coordinates).
 """
@@ -9,11 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from itertools import chain, islice
+from typing import Any, Iterable
 
 from .clocks import (
     CLOCK_NAMES,
     Action,
+    Clock,
     by_name,
     event_stamps,
     stamp_from_obj,
@@ -51,30 +60,35 @@ def _read(path: str) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write a document or a rendering to `out`, or to stdout if None,
+    ending in one newline."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
+            f.write(text)
 
 
-def _load_diagram(path: str):
-    return diagram_from_json(_read(path))
+def _report(args, obj: Any, lines: Iterable[Any], ok: bool = True) -> int:
+    """Print `obj` as indented JSON under --json, else each of `lines`
+    (read only then) on its own line; exit 1 when the check failed."""
+    if args.json:
+        sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    else:
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+    return 0 if ok else 1
 
 
-def _require_valid(d: Diagram) -> None:
+def _load_valid(path: str) -> tuple[Diagram, dict]:
+    """The diagram document at `path` with its labels, refused unless it
+    typechecks."""
+    d, lab = diagram_from_json(_read(path))
     faults = validate(d)
     if faults:
-        raise SchemaError(
-            "diagram does not typecheck: " + "; ".join(str(f) for f in faults)
-        )
-
-
-def _action_labels(lab: dict) -> dict:
-    for ref, value in lab.items():
-        if not isinstance(value, Action):
-            raise SchemaError(f"label at {ref} is not an action: {value!r}")
-    return lab
+        raise SchemaError("diagram does not typecheck: " + "; ".join(map(str, faults)))
+    return d, lab
 
 
 def _parse_event(text: str, d: Diagram) -> Event:
@@ -94,76 +108,59 @@ def _parse_event(text: str, d: Diagram) -> Event:
     return Event(cut, site)
 
 
-def _load_valuation(path: str | None, clock, d: Diagram):
-    if path is None:
-        return zero_valuation(clock, d.initial)
-    obj = read_json(_read(path), what="valuation file is ")
-    if not isinstance(obj, dict):
-        raise SchemaError(f"valuation must be a site-to-timestamp object")
-    out = {}
-    for site, stamp in obj.items():
-        out["" if site == "." else site] = stamp_from_obj(clock, stamp)
-    return out
-
-
-def _print_json(obj: Any) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _load_clocked(args) -> tuple[Diagram, dict, Clock, dict]:
+    """The load stage of the clock commands: the checked diagram, its
+    action labels, the clock and the initial valuation."""
+    d, lab = _load_valid(args.file)
+    clock = by_name(args.clock)
+    if args.valuation is None:
+        valuation = zero_valuation(clock, d.initial)
+    else:
+        obj = read_json(_read(args.valuation), what="valuation file is ")
+        if not isinstance(obj, dict):
+            raise SchemaError("valuation must be a site-to-timestamp object")
+        valuation = {
+            "" if site == "." else site: stamp_from_obj(clock, stamp)
+            for site, stamp in obj.items()
+        }
+    for ref, value in lab.items():
+        if not isinstance(value, Action):
+            raise SchemaError(f"label at {ref} is not an action: {value!r}")
+    return d, lab, clock, valuation
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def _cmd_validate(args) -> int:
-    d, lab = _load_diagram(args.file)
+    d, lab = diagram_from_json(_read(args.file))
     faults = [str(f) for f in validate(d)]
     strays = sorted(set(lab) - set(ticks(d)))
     faults += [f"label at {r} names no tick" for r in strays]
-    if args.json:
-        out = {"ok": not faults, "faults": faults}
-        if not faults:
-            out["final"] = str(d.final)
-        _print_json(out)
-    else:
-        for f in faults:
-            print(f)
-        if not faults:
-            print(d.final)
-    return 1 if faults else 0
+    if faults:
+        return _report(args, {"ok": False, "faults": faults}, faults, False)
+    final = str(d.final)
+    return _report(args, {"ok": True, "faults": faults, "final": final}, [final])
 
 
 def _cmd_render(args) -> int:
-    d, lab = _load_diagram(args.file)
-    _require_valid(d)
-    _emit(render(d, lab, args.format), args.out)
+    _emit(render(*_load_valid(args.file), args.format), args.out)
     return 0
 
 
 def _cmd_paths(args) -> int:
     if args.limit < 0:
         raise ValueError("limit must be >= 0")
-    d, lab = _load_diagram(args.file)
-    _require_valid(d)
+    d, _ = _load_valid(args.file)
     src = _parse_event(args.src, d)
     dst = _parse_event(args.dst, d)
-    found = []
-    for w in causal_paths(d, src, dst):
-        found.append(w)
-        if args.limit and len(found) >= args.limit:
-            break
-    if args.json:
-        _print_json([witness_to_obj(w) for w in found])
-    else:
-        for w in found:
-            print(w)
-    return 0
+    found = list(islice(causal_paths(d, src, dst), args.limit or None))
+    return _report(args, [witness_to_obj(w) for w in found], found)
 
 
 def _cmd_timestamps(args) -> int:
-    d, lab = _load_diagram(args.file)
-    _require_valid(d)
-    clock = by_name(args.clock)
-    valuation = _load_valuation(args.valuation, clock, d)
-    stamps = event_stamps(d, _action_labels(lab), clock, valuation)
+    d, lab, clock, valuation = _load_clocked(args)
+    stamps = event_stamps(d, lab, clock, valuation)
     # Perms, forks and idle sites pass stamps on by reference, so most
     # events share their stamp object with others: convert each object
     # once. `stamps` keeps every object alive, so their ids are stable.
@@ -174,74 +171,50 @@ def _cmd_timestamps(args) -> int:
     rows = [(t, s, id(stamps[j])) for t, here in enumerate(cuts) for s, j in here.items()]
     if args.json:
         events = [{"cut": t, "site": s, "stamp": objs[i]} for t, s, i in rows]
-        _print_json({"clock": clock.name, "events": events})
-    else:
-        texts = {i: to_canonical_json(obj) for i, obj in objs.items()}
-        lines = (f"{t}:{s or '.'}  {texts[i]}\n" for t, s, i in rows)
-        sys.stdout.write("".join(lines))
+        return _report(args, {"clock": clock.name, "events": events}, ())
+    texts = {i: to_canonical_json(obj) for i, obj in objs.items()}
+    _emit("".join(f"{t}:{s or '.'}  {texts[i]}\n" for t, s, i in rows), None)
     return 0
 
 
 def _cmd_check_clock(args) -> int:
-    d, lab = _load_diagram(args.file)
-    _require_valid(d)
-    clock = by_name(args.clock)
-    valuation = _load_valuation(args.valuation, clock, d)
-    report = check_clock_condition(d, _action_labels(lab), clock, valuation)
-    if args.json:
-        obj = report_to_obj(report, clock)
-        _print_json(obj | {"diagram_hash": diagram_hash(d, lab)})
-    else:
-        print(
-            f"clock {clock.name}: {report.checked_pairs} ordered pairs, "
-            f"{len(report.violations)} violations"
-        )
-        for v in report.violations:
-            print(f"  {v.source} !<= {v.dest} via {v.witness}")
-    return 0 if report.ok else 1
+    d, lab, clock, valuation = _load_clocked(args)
+    report = check_clock_condition(d, lab, clock, valuation)
+    obj = None
+    if args.json:  # the hash writes the whole document
+        obj = report_to_obj(report, clock) | {"diagram_hash": diagram_hash(d, lab)}
+    head = f"clock {clock.name}: {report.checked_pairs} ordered pairs, "
+    head += f"{len(report.violations)} violations"
+    lines = (f"  {v.source} !<= {v.dest} via {v.witness}" for v in report.violations)
+    return _report(args, obj, chain([head], lines), report.ok)
 
 
 def _cmd_check_order(args) -> int:
-    d, _ = _load_diagram(args.file)
-    _require_valid(d)
+    d, _ = _load_valid(args.file)
     report = check_order_laws(d)
-    if args.json:
-        _print_json(order_report_to_obj(report))
-    else:
-        print(
-            f"{report.events} events, {report.pairs} ordered pairs: "
-            + ("order laws hold" if report.ok else "order laws violated")
-        )
-        for e in report.reflexivity:
-            print(f"  not reflexive at {e}")
-        for e1, e2 in report.antisymmetry:
-            print(f"  both {e1} <= {e2} and {e2} <= {e1}")
-        for e1, e2, e3 in report.transitivity:
-            print(f"  {e1} <= {e2} <= {e3} but not {e1} <= {e3}")
-    return 0 if report.ok else 1
+    laws = "order laws hold" if report.ok else "order laws violated"
+    lines = chain(
+        [f"{report.events} events, {report.pairs} ordered pairs: {laws}"],
+        (f"  not reflexive at {e}" for e in report.reflexivity),
+        (f"  both {e1} <= {e2} and {e2} <= {e1}" for e1, e2 in report.antisymmetry),
+        (f"  {e1} <= {e2} <= {e3} but not {e1} <= {e3}" for e1, e2, e3 in report.transitivity),
+    )
+    return _report(args, order_report_to_obj(report), lines, report.ok)
 
 
 def _cmd_laws(args) -> int:
     clock = by_name(args.clock)
     report = check_clock_laws(clock, seed=args.seed, samples=args.samples)
-    if args.json:
-        _print_json(law_report_to_obj(report))
-    else:
-        print(
-            f"clock {clock.name}: {report.samples} samples, "
-            f"{len(report.failures)} law failures"
-        )
-        for f in report.failures:
-            print(f"  {f.law}: {f.detail}")
-    return 0 if report.ok else 1
+    lines = chain(
+        [f"clock {clock.name}: {report.samples} samples, {len(report.failures)} law failures"],
+        (f"  {f.law}: {f.detail}" for f in report.failures),
+    )
+    return _report(args, law_report_to_obj(report), lines, report.ok)
 
 
 def _cmd_gen(args) -> int:
-    params = GenParams(
-        seed=args.seed, max_steps=args.max_steps, max_sites=args.max_sites
-    )
-    d, lab = gen_diagram(params)
-    _emit(diagram_to_json(d, lab), args.out)
+    params = GenParams(seed=args.seed, max_steps=args.max_steps, max_sites=args.max_sites)
+    _emit(diagram_to_json(*gen_diagram(params)), args.out)
     return 0
 
 
@@ -265,63 +238,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name: str, func, help: str):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+    def arg(*flags: str, **kw: Any) -> argparse.ArgumentParser:
+        """One argument, declared once, for commands to take as a parent."""
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*flags, **kw)
         return p
 
-    p = cmd("validate", _cmd_validate, "typecheck a diagram file")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
+    def cmd(name: str, func, help: str, *args: argparse.ArgumentParser) -> None:
+        """A command taking `args` in order, which fixes its usage line,
+        its help and its "arguments are required" error."""
+        sub.add_parser(name, help=help, parents=args).set_defaults(func=func)
 
-    p = cmd("render", _cmd_render, "render a diagram as dot or ascii")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("dot", "ascii"), default="dot")
-    p.add_argument("--out")
+    file, as_json, out = arg("file"), arg("--json", action="store_true"), arg("--out")
+    clock = arg("--clock", choices=CLOCK_NAMES, required=True)
+    valuation = arg("--valuation", help="JSON file of initial site timestamps")
 
-    p = cmd("paths", _cmd_paths, "enumerate trajectories between two events")
-    p.add_argument("file")
-    p.add_argument("--from", dest="src", required=True, metavar="CUT:SITE")
-    p.add_argument("--to", dest="dst", required=True, metavar="CUT:SITE")
-    p.add_argument("--limit", type=int, default=0, help="stop after N witnesses")
-    p.add_argument("--json", action="store_true")
-
-    p = cmd("timestamps", _cmd_timestamps, "timestamp every event of a diagram")
-    p.add_argument("file")
-    p.add_argument("--clock", choices=CLOCK_NAMES, required=True)
-    p.add_argument("--valuation", help="JSON file of initial site timestamps")
-    p.add_argument("--json", action="store_true")
-
-    p = cmd("check-clock", _cmd_check_clock, "check timestamps against causal order")
-    p.add_argument("file")
-    p.add_argument("--clock", choices=CLOCK_NAMES, required=True)
-    p.add_argument("--valuation", help="JSON file of initial site timestamps")
-    p.add_argument("--json", action="store_true")
-
-    p = cmd("check-order", _cmd_check_order, "check causal order is a partial order")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-
-    p = cmd("laws", _cmd_laws, "sample-check a clock's algebra laws")
-    p.add_argument("--clock", choices=CLOCK_NAMES, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--json", action="store_true")
-
-    p = cmd("gen", _cmd_gen, "generate a random labeled diagram")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=8)
-    p.add_argument("--max-sites", type=int, default=6)
-    p.add_argument("--out")
-
-    p = cmd(
-        "import-execution",
-        _cmd_import_execution,
-        "compile a message-passing execution into a diagram",
-    )
-    p.add_argument("file")
-    p.add_argument("--out")
-
+    cmd("validate", _cmd_validate, "typecheck a diagram file", file, as_json)
+    cmd("render", _cmd_render, "render a diagram as dot or ascii",
+        file, arg("--format", choices=("dot", "ascii"), default="dot"), out)
+    cmd("paths", _cmd_paths, "enumerate trajectories between two events",
+        file,
+        arg("--from", dest="src", required=True, metavar="CUT:SITE"),
+        arg("--to", dest="dst", required=True, metavar="CUT:SITE"),
+        arg("--limit", type=int, default=0, help="stop after N witnesses"),
+        as_json)
+    cmd("timestamps", _cmd_timestamps, "timestamp every event of a diagram",
+        file, clock, valuation, as_json)
+    cmd("check-clock", _cmd_check_clock, "check timestamps against causal order",
+        file, clock, valuation, as_json)
+    cmd("check-order", _cmd_check_order, "check causal order is a partial order",
+        file, as_json)
+    cmd("laws", _cmd_laws, "sample-check a clock's algebra laws",
+        clock, arg("--seed", type=int, default=0), arg("--samples", type=int, default=10_000),
+        as_json)
+    cmd("gen", _cmd_gen, "generate a random labeled diagram",
+        arg("--seed", type=int, required=True),
+        arg("--max-steps", type=int, default=8), arg("--max-sites", type=int, default=6),
+        out)
+    cmd("import-execution", _cmd_import_execution,
+        "compile a message-passing execution into a diagram", file, out)
     return parser
 
 

@@ -174,10 +174,8 @@ def step_from_obj(obj: Any, context: Config | None = None) -> GlobalStep:
     return _Reader().step(obj, context, 0, "", [], [])[0]
 
 
-# Constants: the table and the step object of an idle hold, which leaves
-# one site alone.
-_HOLD_TABLE = {"": ""}
-_HOLD = {"perm": {"table": _HOLD_TABLE}}
+# The step object of an idle hold, which leaves one site alone.
+_HOLD = {"perm": {"table": {"": ""}}}
 
 
 class _Reader:
@@ -189,17 +187,16 @@ class _Reader:
     limit, which `read_json` maps to a SchemaError. `good_perm` builds
     every perm it reads."""
 
-    __slots__ = ("terms", "atom_steps", "perms", "holds")
+    __slots__ = ("terms", "perms")
 
     def __init__(self) -> None:
-        self.terms: dict[Any, Any] = {}
-        self.atom_steps: dict[tuple[str, int, int], tuple[AtomicStep, Config, Config]] = {}
+        self.terms: dict[Any, Any] = {}  # types, configurations and atomic steps
         self.perms: dict[tuple[int, tuple], PermStep] = {}
-        self.holds: dict[int, PermStep] = {}  # the idle hold read on each context, by id
 
     def term(self, cls: type, a: Any, b: Any = None) -> Any:
         """The one `cls(a)` or `cls(a, b)` of this call, keyed by the ids
-        of its parts, which it keeps alive. `terms` keys an `Atom` by name."""
+        of its parts, which it keeps alive. `terms` keys an `Atom` by
+        name and an atomic step as `atom` does."""
         key = (cls, id(a), id(b))
         made = self.terms.get(key)
         return made or self.terms.setdefault(key, cls(a) if b is None else cls(a, b))
@@ -208,10 +205,12 @@ class _Reader:
         if not isinstance(obj, dict) or len(obj) != 1:
             raise SchemaError(f"expected a one-key type object, got {obj!r}")
         name = obj.get("atom")  # the common case, read without dispatch
-        if isinstance(name, str):
+        if name and isinstance(name, str):
             return self.terms.get(name) or self.terms.setdefault(name, Atom(name))
         [(key, body)] = obj.items()
         if key == "atom":
+            if body == "":
+                raise SchemaError("atom name must be nonempty")
             raise SchemaError(f"atom name must be a string, got {body!r}")
         if key == "prod":
             if not isinstance(body, list) or len(body) != 2:
@@ -245,10 +244,11 @@ class _Reader:
 
     def atom(self, kind: str, a: StateType, b: StateType) -> tuple[AtomicStep, Config, Config]:
         """The one tick, fork or join of this call over the types `a` and
-        `b`, with its input and output configurations, keyed by the ids
-        of the types, which `terms` keeps alive."""
+        `b`, with its input and output configurations, kept in `terms`
+        under (kind, ids of the types), a key no term has; `terms` keeps
+        the types alive."""
         key = (kind, id(a), id(b))
-        made = self.atom_steps.get(key)
+        made = self.terms.get(key)
         if made is None:
             if kind == "tick":
                 made = Tick(a, b), self.term(Leaf, a), self.term(Leaf, b)
@@ -256,14 +256,15 @@ class _Reader:
                 one = self.term(Leaf, self.term(Prod, a, b))  # [a x b]
                 two = self.term(Tensor, self.term(Leaf, a), self.term(Leaf, b))  # [a] * [b]
                 made = (Fork(a, b), one, two) if kind == "fork" else (Join(a, b), two, one)
-            self.atom_steps[key] = made
+            self.terms[key] = made
         return made
 
     def perm(self, body: Any, context: Config | None) -> PermStep:
         """A perm applied to `context`. Only a table that passed every
         check on this context object is kept, under the object's id (the
         step keeps it alive) and the table's items, so a hit before the
-        checks is exact. An unhashable table misses and fails them."""
+        checks is exact; `step` looks idle holds up there. An unhashable
+        table misses and fails them."""
         if not isinstance(body, dict) or len(body) != 1 or "table" not in body:
             raise SchemaError(f"perm takes a table, got {body!r}")
         table = body["table"]
@@ -278,8 +279,6 @@ class _Reader:
             return step
         perm = self.good_perm(table, context) or _perm_fault(table, context)
         step = self.perms[key] = PermStep(perm)
-        if table == _HOLD_TABLE:
-            self.holds[id(context)] = step
         return step
 
     def good_perm(self, table: dict, context: Config | None) -> Perm | None:
@@ -345,7 +344,7 @@ class _Reader:
         context, then the leftmost part, then the right halves
         bottom-up, each building its `Par` and output on the way up, so
         faults, atoms and errors come in tree order. On the way up, an
-        idle hold on a context already read is one lookup (`holds`), and
+        idle hold on a context already read is one lookup in `perms`, and
         a par whose halves return their own contexts returns its own."""
         if not isinstance(obj, dict) or len(obj) != 1:
             raise SchemaError(f"expected a one-key step object, got {obj!r}")
@@ -388,7 +387,7 @@ class _Reader:
         atoms.append((path, step))
         while spine is not None:
             obj, context, right_context, path, spine = spine
-            right = self.holds.get(id(right_context)) if obj == _HOLD else None
+            right = self.perms.get((id(right_context), (("", ""),))) if obj == _HOLD else None
             if right is None:
                 right, right_out = self.step(obj, right_context, k, path, faults, atoms)
             else:

@@ -146,8 +146,8 @@ def read_document(obj, read_config, read_step):
     """What `diagram_from_obj` reads of a diagram document before its
     labels, with the given config and step reads: the initial
     configuration, each step with its output configuration, the faults
-    and each step's atom list; or the class and text of the ValueError
-    (a SchemaError, or an empty atom name) that refuses the document."""
+    and each step's atom list; or the class and text of the SchemaError
+    that refuses the document. Any other error propagates."""
     try:
         if not isinstance(obj, dict):
             raise SchemaError(f"expected a diagram object, got {obj!r}")
@@ -163,6 +163,6 @@ def read_document(obj, read_config, read_step):
             step, context = read_step(raw, context, k, "", faults, here)
             steps.append((step, context))
             atoms.append(here)
-    except ValueError as e:
+    except SchemaError as e:
         return f"{type(e).__name__}: {e}"
     return initial, steps, faults, atoms

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -21,7 +22,16 @@ from causalweft.diagram import (
     perm_swap,
 )
 from causalweft.lamport import execution_to_obj
+from causalweft.paths import Event
 from causalweft.serialize import diagram_from_json, diagram_hash, diagram_to_json
+from causalweft.verify import (
+    GenParams,
+    OrderLawReport,
+    broken_clock,
+    check_clock_condition,
+    gen_diagram,
+    report_to_obj,
+)
 
 from conftest import build_message_flow, build_two_tick
 from test_lamport import PING, make_execution
@@ -409,6 +419,92 @@ def test_laws_json(capsys):
 
 
 # ---------------------------------------------------------------------------
+# failed checks: the lines after the summary, and exit 1
+
+@pytest.fixture
+def broken(monkeypatch):
+    """Every clock name reads the lawless `broken_clock()`."""
+    monkeypatch.setattr(cli, "by_name", lambda name: broken_clock())
+
+
+@pytest.fixture
+def small_file(tmp_path):
+    d, lab = gen_diagram(GenParams(seed=1, max_steps=4, max_sites=3))
+    return write(tmp_path, "small.json", diagram_to_json(d, lab))
+
+
+def test_check_clock_prints_each_violation(broken, small_file, capsys):
+    assert main(["check-clock", small_file, "--clock", "vector"]) == 1
+    assert capsys.readouterr().out == (
+        "clock broken: 6 ordered pairs, 3 violations\n"
+        "  0:. !<= 1:. via 0:. -> 1:.\n"
+        "  0:. !<= 2:. via 0:. -> 1:. -> 2:.\n"
+        "  1:. !<= 2:. via 1:. -> 2:.\n"
+    )
+
+
+def test_check_clock_json_lists_each_violation(broken, small_file, capsys):
+    assert main(["check-clock", small_file, "--clock", "vector", "--json"]) == 1
+    out = capsys.readouterr().out
+    d, lab = gen_diagram(GenParams(seed=1, max_steps=4, max_sites=3))
+    clock = broken_clock()
+    obj = report_to_obj(check_clock_condition(d, lab, clock), clock)
+    obj["diagram_hash"] = diagram_hash(d, lab)
+    assert out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    got = json.loads(out)
+    assert (got["clock"], got["checked_pairs"], len(got["violations"])) == ("broken", 6, 3)
+    assert got["violations"][0]["source"] == {"cut": 0, "site": ""}
+    assert got["violations"][0]["dest_stamp"] == {"*": -1}
+
+
+def test_laws_prints_each_failure(broken, capsys):
+    assert main(["laws", "--clock", "vector", "--samples", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "clock broken: 3 samples, 4 law failures\n"
+        "  increment-inflationary: a=Action(actor='p3', target='p1') t={'*': 4} inc={'*': 3}\n"
+        "  increment-inflationary: a=Action(actor='p3', target='p2') t={'*': -2} inc={'*': -3}\n"
+        "  merge-absorbs-right: l={'*': -2} r={} merge={'*': -2}\n"
+        "  increment-inflationary: a=Action(actor='p2', target='p2') t={'*': 1} inc={'*': 0}\n"
+    )
+    assert main(["laws", "--clock", "vector", "--samples", "3", "--json"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["clock"], obj["samples"], len(obj["failures"])) == ("broken", 3, 4)
+    assert obj["failures"][2] == {
+        "law": "merge-absorbs-right", "detail": "l={'*': -2} r={} merge={'*': -2}"
+    }
+
+
+BAD_ORDER = OrderLawReport(
+    events=3,
+    pairs=5,
+    reflexivity=(Event(0, "L"),),
+    antisymmetry=((Event(0, ""), Event(1, "R")),),
+    transitivity=((Event(0, ""), Event(1, "L"), Event(2, "LR")),),
+)
+
+
+def test_check_order_prints_each_law_failure(monkeypatch, flow_file, capsys):
+    monkeypatch.setattr(cli, "check_order_laws", lambda d: BAD_ORDER)
+    assert main(["check-order", flow_file]) == 1
+    assert capsys.readouterr().out == (
+        "3 events, 5 ordered pairs: order laws violated\n"
+        "  not reflexive at 0:L\n"
+        "  both 0:. <= 1:R and 1:R <= 0:.\n"
+        "  0:. <= 1:L <= 2:LR but not 0:. <= 2:LR\n"
+    )
+    assert main(["check-order", flow_file, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "events": 3,
+        "pairs": 5,
+        "reflexivity": [{"cut": 0, "site": "L"}],
+        "antisymmetry": [[{"cut": 0, "site": ""}, {"cut": 1, "site": "R"}]],
+        "transitivity": [
+            [{"cut": 0, "site": ""}, {"cut": 1, "site": "L"}, {"cut": 2, "site": "LR"}]
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
 # gen
 
 def test_gen_is_deterministic(capsys):
@@ -528,3 +624,65 @@ def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
     assert main(["gen", "--seed", "3", "--max-steps", "2"]) == 0
     assert main(["gen", "--seed", "3"]) == 0
     assert capsys.readouterr().out.endswith(first)
+
+
+# Each subcommand's arguments in declaration order, after its -h:
+# option strings, dest, default, required, choices, type, metavar, help.
+# The order fixes the usage line, the help text and the "the following
+# arguments are required" error.
+FILE = ((), "file", None, True, None, None, None, None)
+JSON = (("--json",), "json", False, False, None, None, None, None)
+CLOCK = (("--clock",), "clock", None, True, ("rst", "scalar", "vector", "wb"), None, None, None)
+VALUATION = (
+    ("--valuation",), "valuation", None, False, None, None, None,
+    "JSON file of initial site timestamps",
+)
+OUT = (("--out",), "out", None, False, None, None, None, None)
+ARGUMENTS = {
+    "validate": [FILE, JSON],
+    "render": [
+        FILE, (("--format",), "format", "dot", False, ("dot", "ascii"), None, None, None), OUT
+    ],
+    "paths": [
+        FILE,
+        (("--from",), "src", None, True, None, None, "CUT:SITE", None),
+        (("--to",), "dst", None, True, None, None, "CUT:SITE", None),
+        (("--limit",), "limit", 0, False, None, int, None, "stop after N witnesses"),
+        JSON,
+    ],
+    "timestamps": [FILE, CLOCK, VALUATION, JSON],
+    "check-clock": [FILE, CLOCK, VALUATION, JSON],
+    "check-order": [FILE, JSON],
+    "laws": [
+        CLOCK,
+        (("--seed",), "seed", 0, False, None, int, None, None),
+        (("--samples",), "samples", 10_000, False, None, int, None, None),
+        JSON,
+    ],
+    "gen": [
+        (("--seed",), "seed", None, True, None, int, None, None),
+        (("--max-steps",), "max_steps", 8, False, None, int, None, None),
+        (("--max-sites",), "max_sites", 6, False, None, int, None, None),
+        OUT,
+    ],
+    "import-execution": [FILE, OUT],
+}
+
+
+def test_each_subcommand_declares_its_arguments_in_order():
+    [subs] = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subs.choices) == list(ARGUMENTS)
+    for name, parser in subs.choices.items():
+        assert parser.prog == f"causalweft {name}"
+        first, *rest = parser._actions
+        assert isinstance(first, argparse._HelpAction)
+        got = [
+            (
+                tuple(a.option_strings), a.dest, a.default, a.required,
+                a.choices, a.type, a.metavar, a.help,
+            )
+            for a in rest
+        ]
+        assert got == ARGUMENTS[name], name
+        flags = [isinstance(a, argparse._StoreTrueAction) for a in rest]
+        assert flags == [arg is JSON for arg in ARGUMENTS[name]], name

@@ -466,7 +466,7 @@ def _reads_agree(obj) -> bool:
     )
     assert got == want
     if isinstance(got, str):
-        with pytest.raises(ValueError) as e:
+        with pytest.raises(SchemaError) as e:
             diagram_from_obj(obj)
         assert f"{type(e.value).__name__}: {e.value}" == got
         return False
@@ -627,6 +627,32 @@ def test_nesting_past_the_recursion_limit_is_a_schema_error():
         diagram_to_json(Diagram(tensor([Leaf(A)] * 3000), ()))
     with pytest.raises(SchemaError, match="^document nests too deeply$"):
         diagram_from_json('{"initial":' + '{"tensor":[' * 3000)
+
+
+EMPTY = {"atom": ""}
+A_OBJ = {"atom": "A"}
+
+
+@pytest.mark.parametrize(
+    "initial, step",
+    [
+        ({"leaf": EMPTY}, None),
+        ({"leaf": A_OBJ}, {"tick": {"in": EMPTY, "out": A_OBJ}}),
+        ({"leaf": A_OBJ}, {"tick": {"in": A_OBJ, "out": EMPTY}}),
+        ({"leaf": {"prod": [A_OBJ, A_OBJ]}}, {"fork": {"l": A_OBJ, "r": EMPTY}}),
+        ({"tensor": [{"leaf": A_OBJ}, {"leaf": A_OBJ}]}, {"join": {"l": EMPTY, "r": A_OBJ}}),
+        ({"leaf": {"prod": [A_OBJ, EMPTY]}}, None),
+    ],
+    ids=["initial leaf", "tick in", "tick out", "fork", "join", "prod part"],
+)
+def test_an_empty_atom_name_is_a_schema_error(initial, step, tmp_path, capsys):
+    doc = {"initial": initial, "steps": [] if step is None else [step], "labels": []}
+    with pytest.raises(SchemaError, match="^atom name must be nonempty$"):
+        diagram_from_obj(doc)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: atom name must be nonempty\n"
 
 
 def test_missing_fields_are_rejected():
