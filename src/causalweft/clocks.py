@@ -344,8 +344,9 @@ def event_stamps(
     input (the lower number, so the first to arrive) with its right.
     With `stop`, only the stamps up to cut `stop` are final and no later
     label is read. Raises ValueError for a `stop` outside 0..n_steps,
-    valuation keys other than the initial sites, a step that reads a
-    missing site, or an unlabeled tick."""
+    valuation keys other than the initial sites, a step whose sites do
+    not chain up, with the first fault `validate` names, or an
+    unlabeled tick."""
     if stop is not None and not 0 <= stop <= d.n_steps:
         raise ValueError(f"cut {stop} out of range 0..{d.n_steps}")
     want = site_types(d.initial)

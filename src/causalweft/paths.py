@@ -31,7 +31,6 @@ from .diagram import (
     GlobalStep,
     Join,
     Leaf,
-    Perm,
     PermStep,
     SiteRef,
     Tick,
@@ -40,6 +39,7 @@ from .diagram import (
     step_atom_lists,
     step_atoms,
     tick_at,
+    validate,
 )
 
 # ---------------------------------------------------------------------------
@@ -142,18 +142,16 @@ def _tables(d: Diagram) -> _Tables:
     """The derived tables of `d`, built on first use by one pass over
     each step's atoms (`step_atom_lists`: the lists a loaded document
     or a compiled execution keeps, else a walk) and kept in the
-    instance's own __dict__, so they are freed with the diagram. Raises
-    ValueError if a step reads a site its cut lacks, takes one nowhere
-    in the next cut, or has a perm that hits a site of the next cut
-    twice or never."""
+    instance's own __dict__, so they are freed with the diagram. An
+    ill-typed diagram has no order: if a step reads a site its cut
+    lacks, sends one twice or nowhere, or has a perm that hits a site of
+    the next cut twice or never, this raises ValueError with the first
+    fault `validate` names."""
     tables = d.__dict__.get(_TABLES)
     if tables is not None:
         return tables
     here = {s: i for i, s in enumerate(site_types(d.initial))}
     numbers, successors, ticks, n = [here], [], {}, len(here)
-    # perms that miss a target site or hit one twice, reported after
-    # the step's own faults
-    faulty: list[tuple[str, Perm]] = []
     try:
         for k, atoms in enumerate(step_atom_lists(d)):
             # atoms come left to right with prefix-free paths, so the
@@ -170,18 +168,15 @@ def _tables(d: Diagram) -> _Tables:
                         out[here[p] - base], nxt[p] = (j,), j
                         continue
                     targets = perm.onto
-                    if targets is None:
-                        targets = site_types(perm.target)
-                        faulty.append((p, perm))
+                    if targets is None:  # hits a site twice or never
+                        raise KeyError
                     for b in targets:
                         nxt[p + b] = n + len(nxt)
                     for a, b in perm.pairs:
                         i = here[p + a] - base
-                        if out[i] is not None:
-                            raise ValueError(
-                                f"step {k} sends site {p + a!r} of cut {k} twice"
-                            )
-                        out[i] = (nxt.get(p + b),)
+                        if out[i] is not None:  # sends a site twice
+                            raise KeyError
+                        out[i] = (nxt[p + b],)
                 elif kind is Tick:
                     out[here[p] - base], nxt[p] = (j,), j
                     ticks[j] = k, p
@@ -193,30 +188,15 @@ def _tables(d: Diagram) -> _Tables:
                     nxt[p] = j
                 else:
                     raise TypeError(f"not a step: {atom!r}")
-            if None in out or (None,) in out:  # unread, or sent off the tree
-                s = next(s for s in here if out[here[s] - base] in (None, (None,)))
-                raise ValueError(f"step {k} takes site {s!r} of cut {k} nowhere")
-            if faulty:
-                _raise_not_onto(*faulty[0], k)
+            if None in out:  # a site no atom reads
+                raise KeyError
             successors += out
             numbers.append(nxt)
             here, n = nxt, n + len(nxt)
-    except KeyError as missing:
-        raise ValueError(f"step {k} reads site {missing}, missing at cut {k}") from None
+    except KeyError:  # a site the cut lacks, or a fault raised as one above
+        raise ValueError(str(validate(d)[0])) from None
     successors += [()] * len(here)
     return d.__dict__.setdefault(_TABLES, _Tables(tuple(numbers), tuple(successors), ticks))
-
-
-def _raise_not_onto(p: str, perm: Perm, k: int) -> None:
-    """Name the first target site of a perm at path `p` of step k that
-    it hits twice or, failing that, never."""
-    seen = set()
-    for _, b in perm.pairs:
-        if b in seen:
-            raise ValueError(f"step {k} sends two sites to {p + b!r} of cut {k + 1}")
-        seen.add(b)
-    b = min(site_types(perm.target).keys() - seen)
-    raise ValueError(f"step {k} sends no site to {p + b!r} of cut {k + 1}")
 
 
 def cut_numbers(d: Diagram) -> tuple[Mapping[SiteRef, int], ...]:
@@ -329,27 +309,16 @@ def compose_witness(a: PathWitness, b: PathWitness) -> PathWitness:
 # ---------------------------------------------------------------------------
 # spanning trajectories (whole-diagram queries)
 
-def _require_site(d: Diagram, t: int, s: SiteRef, what: str) -> int:
-    """The event number of site `s` at cut `t`; raises if there is none."""
-    try:
-        return _tables(d).numbers[t][s]
-    except KeyError:
-        raise ValueError(f"{what} {s!r} is not a site at cut {t}") from None
-
-
 def span_reachable(d: Diagram, s1: SiteRef, s2: SiteRef) -> bool:
     """Does some trajectory cross the whole diagram from initial site
     s1 to final site s2?"""
-    i = _require_site(d, 0, s1, "source site")
-    j = _require_site(d, d.n_steps, s2, "target site")
-    return bool(future_rows(d)[i] >> j & 1)
+    return causally_ordered(d, Event(0, s1), Event(d.n_steps, s2))
 
 
 def span_count(d: Diagram, s1: SiteRef, s2: SiteRef) -> int:
     """How many distinct trajectories cross from s1 to s2. Exact; the
     count can grow exponentially in the number of steps."""
-    i = _require_site(d, 0, s1, "source site")
-    j = _require_site(d, d.n_steps, s2, "target site")
+    i, j = _number(d, Event(0, s1)), _number(d, Event(d.n_steps, s2))
     successors = _tables(d).successors
     counts = {i: 1}
     for _ in range(d.n_steps):
@@ -395,9 +364,7 @@ def _enumerate(
 def span_enumerate(d: Diagram, s1: SiteRef, s2: SiteRef) -> Iterator[PathWitness]:
     """Lazily enumerate every whole-diagram trajectory from s1 to s2,
     in lexicographic order (site order = left-to-right leaf order)."""
-    _require_site(d, 0, s1, "source site")
-    _require_site(d, d.n_steps, s2, "target site")
-    return _enumerate(d, 0, s1, d.n_steps, s2)
+    return causal_paths(d, Event(0, s1), Event(d.n_steps, s2))
 
 
 # ---------------------------------------------------------------------------

@@ -118,18 +118,7 @@ def read_json(text: str, read: Callable[[Any], Any] = lambda obj: obj, what: str
 
 
 # ---------------------------------------------------------------------------
-# types and configurations
-
-def type_from_obj(obj: Any) -> StateType:
-    return _Reader().type(obj)
-
-
-def config_from_obj(obj: Any) -> Config:
-    return _Reader().config(obj)
-
-
-# ---------------------------------------------------------------------------
-# steps
+# reading types, configurations and steps
 
 def _site_ok(s: Any) -> bool:
     return isinstance(s, str) and not s.strip("LR")
@@ -165,13 +154,6 @@ def _perm_fault(table: dict, context: Config | None) -> NoReturn:
             raise SchemaError(f"table paths {paths[i:j]} do not form a tree")
         todo += ((prefix + "R", m, j), (prefix + "L", i, m))
     raise AssertionError(f"good_perm refused a sound perm table: {table!r}")
-
-
-def step_from_obj(obj: Any, context: Config | None = None) -> GlobalStep:
-    """Parse a step. `context` is the configuration the step is applied
-    to; it is how a perm learns its source and is threaded into par
-    halves."""
-    return _Reader().step(obj, context, 0, "", [], [])[0]
 
 
 # The step object of an idle hold, which leaves one site alone.

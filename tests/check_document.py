@@ -4,7 +4,8 @@
 
 The loader must keep for each step the atom list that a walk of the
 step finds, read what the recursive reference walks of
-`reference_reads.py` read, and write the document back to the same
+`reference_reads.py`, which share no code with the loader, read, and
+write the document back to the same
 bytes. A `tick_index` member, as `import-execution` appends it, is
 appended again before the bytes are compared. Exits 1 on a mismatch.
 """
@@ -23,11 +24,9 @@ def check(text: str) -> bool:
     kept = d.__dict__["_step_atoms"]
     assert len(kept) == d.n_steps
     assert all(atoms == step_atoms(step) for atoms, step in zip(kept, d.steps))
-    obj, reader, ref = json.loads(text), _Reader(), _Reader()
+    obj, reader = json.loads(text), _Reader()
     got = read_document(obj, reader.config, reader.step)
-    want = read_document(
-        obj, lambda o: reference_config(ref, o), lambda *a: reference_step(ref, *a)
-    )
+    want = read_document(obj, reference_config, reference_step)
     assert not isinstance(got, str) and got == want
     again = diagram_to_json(d, lab)
     if "tick_index" in obj:

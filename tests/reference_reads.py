@@ -2,16 +2,32 @@
 
 The reads the library ran before its one-pass fast paths: every check
 in a fixed order, so the first that fails names the fault, and the
-value built only once all have passed; and the walks of configurations
-and steps that recurse once per level, where the library reads each
-left spine in one loop. Tests compare the reads in `serialize` with
-these.
+value built only once all have passed; and the walks of types,
+configurations and steps that recurse once per level, where the
+library reads each left spine in one loop. Types, configurations and
+atomic steps are built with the plain term constructors, one object
+per node read, where the library shares equal terms within a load;
+nothing here calls the library's reader. Tests compare the reads in
+`serialize` with these.
 """
 
 from bisect import bisect_left
 
 from causalweft.clocks import Action
-from causalweft.diagram import Leaf, Par, Perm, Tensor, check_boundary, site_types
+from causalweft.diagram import (
+    Atom,
+    Fork,
+    Join,
+    Leaf,
+    Par,
+    Perm,
+    PermStep,
+    Prod,
+    Tensor,
+    Tick,
+    check_boundary,
+    site_types,
+)
 from causalweft.serialize import SchemaError
 
 
@@ -23,9 +39,15 @@ def _pid_ok(p):
     return isinstance(p, (str, int)) and not isinstance(p, bool)
 
 
-def reference_perm(reader, table, context):
+def plain_term(cls, a, b=None):
+    """A new `cls(a)` or `cls(a, b)`: the term builder of the reads
+    below, which share nothing."""
+    return cls(a) if b is None else cls(a, b)
+
+
+def reference_perm(term, table, context):
     """The perm of `table` applied to `context`, its target built with
-    `reader`'s shared terms."""
+    `term` (`plain_term`, or a reader's shared `_Reader.term`)."""
     for s, t in table.items():
         if not _site_ok(s) or not _site_ok(t):
             raise SchemaError(f"bad site in perm table: {s!r} -> {t!r}")
@@ -43,11 +65,11 @@ def reference_perm(reader, table, context):
         target = context
     else:
         back = {t: s for s, t in table.items()}
-        target = _target(reader, sorted(back), lambda p: types[back[p]])
+        target = _target(term, sorted(back), lambda p: types[back[p]])
     return Perm(context, target, tuple(sorted(table.items())))
 
 
-def _target(reader, paths, type_of):
+def _target(term, paths, type_of):
     """The configuration whose leaf set is the sorted `paths`. Sorted
     order is pre-order, so one pass with a stack visits each node as the
     slice [i, j) of paths below it, merges its halves once built, and
@@ -58,9 +80,9 @@ def _target(reader, paths, type_of):
         prefix, i, j = todo.pop()
         if prefix is None:  # both halves of a node are built
             right = done.pop()
-            done[-1] = reader.term(Tensor, done[-1], right)
+            done[-1] = term(Tensor, done[-1], right)
         elif j - i == 1 and paths[i] == prefix:
-            done.append(reader.term(Leaf, type_of(prefix)))
+            done.append(term(Leaf, type_of(prefix)))
         else:
             m = bisect_left(paths, prefix + "R", i, j)
             if paths[i] == prefix or m == i or m == j:
@@ -87,33 +109,65 @@ def reference_label_value(obj):
     return obj
 
 
-def reference_config(reader, obj):
-    """A configuration, read with `reader`'s shared terms, one call per
-    level."""
+def reference_type(obj):
+    """A state type, one call per level."""
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise SchemaError(f"expected a one-key type object, got {obj!r}")
+    [(key, body)] = obj.items()
+    if key == "atom":
+        if not isinstance(body, str):
+            raise SchemaError(f"atom name must be a string, got {body!r}")
+        if not body:
+            raise SchemaError("atom name must be nonempty")
+        return Atom(body)
+    if key == "prod":
+        if not isinstance(body, list) or len(body) != 2:
+            raise SchemaError(f"prod takes two parts, got {body!r}")
+        return Prod(reference_type(body[0]), reference_type(body[1]))
+    raise SchemaError(f"unknown type node {obj!r}")
+
+
+def reference_config(obj):
+    """A configuration, one call per level."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise SchemaError(f"expected a one-key config object, got {obj!r}")
     [(key, body)] = obj.items()
     if key == "leaf":
-        return reader.term(Leaf, reader.type(body))
+        return Leaf(reference_type(body))
     if key == "tensor":
         if not isinstance(body, list) or len(body) != 2:
             raise SchemaError(f"tensor takes two parts, got {body!r}")
-        return reader.term(
-            Tensor, reference_config(reader, body[0]), reference_config(reader, body[1])
-        )
+        return Tensor(reference_config(body[0]), reference_config(body[1]))
     raise SchemaError(f"unknown config node {obj!r}")
 
 
-def reference_step(reader, obj, context, k, path, faults, atoms):
+def reference_atom(key, a, b):
+    """The tick, fork or join over the types `a` and `b`, with its input
+    and output configurations: a tick rewrites [a] to [b], a fork splits
+    [a x b] into [a] * [b], and a join fuses them back."""
+    if key == "tick":
+        return Tick(a, b), Leaf(a), Leaf(b)
+    pair, halves = Leaf(Prod(a, b)), Tensor(Leaf(a), Leaf(b))
+    if key == "fork":
+        return Fork(a, b), pair, halves
+    return Join(a, b), halves, pair
+
+
+def reference_step(obj, context, k, path, faults, atoms):
     """The node at `path` of step k applied to `context`, with its output
-    configuration, read with `reader`'s shared terms, one call per
-    level; appends its boundary faults to `faults` and its atomic steps
-    with their paths to `atoms`, in tree order."""
+    configuration, one call per level; appends its boundary faults to
+    `faults` and its atomic steps with their paths to `atoms`, in tree
+    order."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise SchemaError(f"expected a one-key step object, got {obj!r}")
     [(key, body)] = obj.items()
     if key == "perm":
-        step = reader.perm(body, context)
+        if not isinstance(body, dict) or len(body) != 1 or "table" not in body:
+            raise SchemaError(f"perm takes a table, got {body!r}")
+        table = body["table"]
+        if not isinstance(table, dict) or not table:
+            raise SchemaError(f"perm table must be a nonempty object, got {table!r}")
+        step = PermStep(reference_perm(plain_term, table, context))
         atoms.append((path, step))
         return step, step.perm.target
     if key == "par":
@@ -124,17 +178,17 @@ def reference_step(reader, obj, context, k, path, faults, atoms):
             lctx, rctx = context.left, context.right
         else:
             check_boundary(faults, k, path, context, None)
-        left, lout = reference_step(reader, body[0], lctx, k, path + "L", faults, atoms)
-        right, rout = reference_step(reader, body[1], rctx, k, path + "R", faults, atoms)
-        return Par(left, right), reader.term(Tensor, lout, rout)
+        left, lout = reference_step(body[0], lctx, k, path + "L", faults, atoms)
+        right, rout = reference_step(body[1], rctx, k, path + "R", faults, atoms)
+        return Par(left, right), Tensor(lout, rout)
     if key == "tick":
         if not (isinstance(body, dict) and len(body) == 2 and "in" in body and "out" in body):
             raise SchemaError(f"tick takes in/out types, got {body!r}")
-        step, want, out = reader.atom(key, reader.type(body["in"]), reader.type(body["out"]))
+        step, want, out = reference_atom(key, reference_type(body["in"]), reference_type(body["out"]))
     elif key == "fork" or key == "join":
         if not (isinstance(body, dict) and len(body) == 2 and "l" in body and "r" in body):
             raise SchemaError(f"{key} takes l/r types, got {body!r}")
-        step, want, out = reader.atom(key, reader.type(body["l"]), reader.type(body["r"]))
+        step, want, out = reference_atom(key, reference_type(body["l"]), reference_type(body["r"]))
     else:
         raise SchemaError(f"unknown step node {obj!r}")
     check_boundary(faults, k, path, context, want)

@@ -457,22 +457,21 @@ def test_a_perm_that_misses_a_target_site_is_an_error():
     ):
         with pytest.raises(ValueError) as info:
             read()
-        assert str(info.value) == "step 0 sends two sites to 'L' of cut 1"
+        assert str(info.value) == "step 0 at .: target site 'L' hit twice (not injective)"
 
 
 @pytest.mark.parametrize(
-    "d, missing",
+    "d, message",
     [
-        (Diagram(Leaf(A), (Join(A, B),)), "'L'"),
-        (Diagram(Tensor(Leaf(A), Leaf(B)), (Tick(A, A),)), "''"),
+        (Diagram(Leaf(A), (Join(A, B),)), "step 0 at .: step expects ([A] * [B]), found [A]"),
+        (Diagram(Tensor(Leaf(A), Leaf(B)), (Tick(A, A),)), "step 0 at .: step expects [A], found ([A] * [B])"),
     ],
     ids=["join-on-a-leaf", "tick-on-a-tensor"],
 )
-def test_ill_typed_diagrams_raise_the_tables_error(d, missing):
+def test_ill_typed_diagrams_raise_the_tables_error(d, message):
     c = vector_clock()
     v = zero_valuation(c, d.initial)
     lab = {TickRef(0, ""): Action("p1")}
-    message = f"step 0 reads site {missing}, missing at cut 0"
     for read in (
         lambda: update(d, lab, c, v),
         lambda: timestamp_all(d, lab, c, v),

@@ -21,7 +21,11 @@ from causalweft.diagram import (
     noop,
     perm_id,
     perm_swap,
+    site_types,
     sites,
+    subconfig,
+    ticks,
+    validate,
 )
 from causalweft.paths import (
     Event,
@@ -44,9 +48,10 @@ from causalweft.paths import (
     witness_valid,
 )
 
+from causalweft.clocks import Action, event_stamps, vector_clock, zero_valuation
 from causalweft.lamport import derived_order
 from causalweft.render import to_dot
-from causalweft.verify import check_order_laws
+from causalweft.verify import GenParams, check_order_laws, gen_diagram
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -82,15 +87,18 @@ def test_an_ill_typed_diagram_gets_no_order():
         lambda: step_successors(d),
         lambda: to_dot(d),
     )
-    missing = "^step 0 reads site 'L', missing at cut 0$"
+    missing = "step 0 at .: step expects ([A] * [A]), found [A]"
     for query in queries:
-        with pytest.raises(ValueError, match=missing):
+        with pytest.raises(ValueError, match=f"^{re.escape(missing)}$"):
             query()
     # perms built directly: one leaves R unread, one sends it off the tree
     pair = Tensor(Leaf(A), Leaf(A))
-    for pairs in ((("L", "L"),), (("L", "L"), ("R", "RR"))):
+    for pairs, message in (
+        ((("L", "L"),), "step 1 at .: source site 'R' unmapped"),
+        ((("L", "L"), ("R", "RR")), "step 1 at .: target site 'R' not hit"),
+    ):
         d = Diagram(pair, (noop(pair), PermStep(Perm(pair, pair, pairs))))
-        with pytest.raises(ValueError, match="^step 1 takes site 'R' of cut 1 nowhere"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             events(d)
 
 
@@ -100,7 +108,8 @@ def test_a_perm_that_sends_a_site_twice_gets_no_order():
     pair = Tensor(Leaf(A), Leaf(A))
     twice = Perm(pair, pair, (("L", "L"), ("L", "R"), ("R", "L")))
     d = Diagram(pair, (PermStep(twice),))
-    with pytest.raises(ValueError, match="^step 0 sends site 'L' of cut 0 twice$"):
+    message = "step 0 at .: source site 'L' mapped twice"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         event_order_pairs(d)
 
 
@@ -108,10 +117,11 @@ def test_a_perm_that_sends_a_site_twice_gets_no_order():
     "target, pairs, message",
     [
         # L and R both land on L, so nothing lands on R
-        ("pair", (("L", "L"), ("R", "L")), "^step 1 sends two sites to 'L' of cut 2$"),
+        ("pair", (("L", "L"), ("R", "L")), "step 1 at .: target site 'L' hit twice (not injective)"),
         # a wider target: every pair lands once, but LR is never hit
-        ("wide", (("L", "LL"), ("R", "R")), "^step 1 sends no site to 'LR' of cut 2$"),
+        ("wide", (("L", "LL"), ("R", "R")), "step 1 at .: target site 'LR' not hit"),
     ],
+    ids=["pair", "wide"],
 )
 def test_a_perm_that_misses_a_target_site_gets_no_order(target, pairs, message):
     pair = Tensor(Leaf(A), Leaf(A))
@@ -124,7 +134,7 @@ def test_a_perm_that_misses_a_target_site_gets_no_order(target, pairs, message):
         lambda: to_dot(d),
         lambda: check_order_laws(d),
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             query()
 
 
@@ -132,8 +142,87 @@ def test_a_shared_perm_is_checked_where_it_first_runs():
     pair = Tensor(Leaf(A), Leaf(A))
     bad = PermStep(Perm(pair, pair, (("L", "L"), ("R", "L"))))
     d = Diagram(Tensor(pair, pair), (Par(noop(pair), bad), Par(bad, bad)))
-    with pytest.raises(ValueError, match="^step 0 sends two sites to 'RL' of cut 1$"):
+    message = "step 0 at R: target site 'L' hit twice (not injective)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         events(d)
+
+
+def _mirror(config, path, atom):
+    """A step over `config` that holds every site idle, except that the
+    node at `path` is replaced by `atom`."""
+    if path == "":
+        return atom
+    if path[0] == "L":
+        return Par(_mirror(config.left, path[1:], atom), noop(config.right))
+    return Par(noop(config.left), _mirror(config.right, path[1:], atom))
+
+
+def _mutated_diagram(seed: int, rng: random.Random) -> Diagram:
+    """A generated diagram plus one random tick, fork, join or perm step
+    at a random node of its final configuration. Types are drawn from
+    those in play, so the step is sometimes well-typed; a perm's pairs
+    may be dropped, repeated or misrouted."""
+    d, _ = gen_diagram(GenParams(seed=seed, max_steps=4, max_sites=4))
+    final = d.final
+    nodes = [""] + [s[:i] for s in sites(final) for i in range(1, len(s) + 1)]
+    path = rng.choice(sorted(set(nodes)))
+    node = subconfig(final, path)
+    types = sorted(set(site_types(final).values()), key=str) + [A, Prod(A, B)]
+    kind = rng.choice(("tick", "fork", "join", "perm"))
+    if kind == "tick":
+        atom = Tick(rng.choice(types), rng.choice(types))
+    elif kind == "fork":
+        ty = node.ty if isinstance(node, Leaf) and rng.random() < 0.7 else rng.choice(types)
+        atom = Fork(ty.left, ty.right) if isinstance(ty, Prod) else Fork(ty, ty)
+    elif kind == "join":
+        atom = Join(rng.choice(types), rng.choice(types))
+    else:
+        target = rng.choice([node, Tensor(node, Leaf(A)), Tensor(Leaf(A), node)])
+        targets = list(sites(target))
+        rng.shuffle(targets)
+        pairs = list(zip(sites(node), targets))
+        i, flaw = rng.randrange(len(pairs)), rng.randrange(7)
+        if flaw == 0 and len(pairs) > 1:  # drop a pair
+            del pairs[i]
+        elif flaw == 1:  # repeat a target
+            pairs[i] = (pairs[i][0], rng.choice(targets))
+        elif flaw == 2:  # repeat a source
+            pairs.append((pairs[i][0], rng.choice(targets)))
+        elif flaw == 3:  # misroute a target off the tree
+            pairs[i] = (pairs[i][0], pairs[i][1] + rng.choice("LR"))
+        elif flaw == 4:  # a source the node lacks
+            pairs[i] = (pairs[i][0] + rng.choice("LR"), pairs[i][1])
+        atom = PermStep(Perm(node, target, tuple(sorted(pairs))))
+    step = _mirror(final, path, atom)
+    return Diagram(d.initial, d.steps + (step,))
+
+
+def test_the_tables_refuse_an_ill_typed_diagram_in_validates_words():
+    # every refusal of the paths tables is the first fault `validate`
+    # names; every diagram `validate` accepts builds its tables
+    rng = random.Random(21)
+    refused = accepted = 0
+    for seed in range(1500):
+        d = _mutated_diagram(seed, rng)
+        try:
+            step_successors(d)
+        except ValueError as refusal:
+            message = str(validate(d)[0])
+            assert str(refusal) == message
+            c = vector_clock()
+            lab = {r: Action("p") for r in ticks(d)}
+            for query in (
+                lambda: events(d),
+                lambda: step_successors(d),
+                lambda: event_stamps(d, lab, c, zero_valuation(c, d.initial)),
+            ):
+                with pytest.raises(ValueError) as info:
+                    query()
+                assert str(info.value) == message
+            refused += 1
+            continue
+        accepted += not validate(d)
+    assert refused > 600 and accepted > 200
 
 
 def test_event_str():
@@ -260,11 +349,13 @@ def test_identity_spans_are_diagonal():
 
 
 def test_span_rejects_unknown_sites(diamond):
+    # cut 0 and cut 3 of the diamond hold only the root site
     d, _ = diamond
-    with pytest.raises(ValueError):
-        span_reachable(d, "L", "")
-    with pytest.raises(ValueError):
-        span_count(d, "", "R")
+    for query in (span_reachable, span_count, lambda *a: list(span_enumerate(*a))):
+        with pytest.raises(ValueError, match="^'L' is not a site at cut 0$"):
+            query(d, "L", "")
+        with pytest.raises(ValueError, match="^'R' is not a site at cut 3$"):
+            query(d, "", "R")
 
 
 def test_diamond_has_two_trajectories(diamond):
@@ -457,6 +548,7 @@ def test_idle_holds_number_their_site_as_the_general_perm_read_does():
     d = Diagram(Tensor(Leaf(A), Leaf(B)), (Par(noop(Leaf(A)), Tick(B, B)), noop(Tensor(Leaf(A), Leaf(B)))))
     assert step_successors(d) == ((2,), (3,), (4,), (5,), (), ())
     bad = PermStep(Perm(Leaf(A), Tensor(Leaf(A), Leaf(A)), (("", ""),)))
-    with pytest.raises(ValueError, match="^step 0 takes site '' of cut 0 nowhere$"):
+    message = "step 0 at .: target site 'L' not hit"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         events(Diagram(Leaf(A), (bad,)))
     assert perm_id(Leaf(A)).pairs == (("", ""),)

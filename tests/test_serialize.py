@@ -41,15 +41,12 @@ from causalweft.serialize import (
     SchemaError,
     _Reader,
     _perm_fault,
-    config_from_obj,
     diagram_from_json,
     diagram_from_obj,
     diagram_hash,
     diagram_to_json,
     diagram_to_obj,
-    step_from_obj,
     to_canonical_json,
-    type_from_obj,
     witness_from_obj,
     witness_to_obj,
 )
@@ -62,26 +59,26 @@ A, B = Atom("A"), Atom("B")
 
 def test_type_round_trip():
     ty = Prod(Prod(A, B), A)
-    assert type_from_obj(type_to_obj(ty)) == ty
+    assert _Reader().type(type_to_obj(ty)) == ty
     assert type_to_obj(A) == {"atom": "A"}
 
 
 def test_config_round_trip():
     cfg = Tensor(Leaf(A), Tensor(Leaf(Prod(A, B)), Leaf(B)))
-    assert config_from_obj(config_to_obj(cfg)) == cfg
+    assert _Reader().config(config_to_obj(cfg)) == cfg
 
 
 def test_bad_nodes_rejected():
     with pytest.raises(SchemaError):
-        type_from_obj({"atom": "A", "extra": 1})
+        _Reader().type({"atom": "A", "extra": 1})
     with pytest.raises(SchemaError):
-        type_from_obj({"molecule": "A"})
+        _Reader().type({"molecule": "A"})
     with pytest.raises(SchemaError):
-        type_from_obj({"prod": [{"atom": "A"}]})
+        _Reader().type({"prod": [{"atom": "A"}]})
     with pytest.raises(SchemaError):
-        config_from_obj({"tensor": [{"leaf": {"atom": "A"}}]})
+        _Reader().config({"tensor": [{"leaf": {"atom": "A"}}]})
     with pytest.raises(SchemaError):
-        config_from_obj("leaf")
+        _Reader().config("leaf")
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +367,7 @@ def test_the_one_pass_perm_read_agrees_with_the_ordered_checks():
         table = dict(items)
         got = reader.good_perm(table, context)
         try:
-            want = reference_perm(reader, table, context)
+            want = reference_perm(reader.term, table, context)
         except SchemaError as fault:
             assert got is None, table
             with pytest.raises(SchemaError) as e:
@@ -457,13 +454,9 @@ def _reads_agree(obj) -> bool:
     walks' (steps, output configurations, faults in order, atom lists,
     SchemaError text), and `diagram_from_obj` keeps what they read.
     True if the document reads."""
-    reader, ref_reader = _Reader(), _Reader()
+    reader = _Reader()
     got = read_document(obj, reader.config, reader.step)
-    want = read_document(
-        obj,
-        lambda o: reference_config(ref_reader, o),
-        lambda *args: reference_step(ref_reader, *args),
-    )
+    want = read_document(obj, reference_config, reference_step)
     assert got == want
     if isinstance(got, str):
         with pytest.raises(SchemaError) as e:
@@ -568,8 +561,14 @@ def test_perm_round_trip_rebuilds_source_and_target(message_flow):
 
 
 def test_perm_without_context_is_rejected():
+    # a par over a leaf has no halves to hand its parts
+    doc = {
+        "initial": config_to_obj(Leaf(A)),
+        "steps": [{"par": [{"perm": {"table": {"L": "R", "R": "L"}}}, {"perm": {"table": {"": ""}}}]}],
+        "labels": [],
+    }
     with pytest.raises(SchemaError, match="no known configuration"):
-        step_from_obj({"perm": {"table": {"L": "R", "R": "L"}}}, None)
+        diagram_from_obj(doc)
 
 
 def test_perm_table_must_match_the_sites():
