@@ -9,11 +9,24 @@ when a check fails; documents, renderings and the text listing of
 
 Exit codes: 0 on success, 1 when a check found violations, 2 when the
 input was malformed (unreadable file, bad JSON, bad coordinates).
+
+`main` pauses the cycle collector for the command and turns it back on
+when the command returns or raises, argument errors included, unless
+the caller had it off. The pause frees nothing late: a command builds
+trees and DAGs (hash-consed terms, the paths table kept on its
+`Diagram`, stamps passed on by reference), which reference counting
+frees as their last reference drops. The only cycles a command leaves
+are the few fixed objects `json.dumps(indent=2)` builds in `_report`,
+whatever the input's size, and the first collection after `main`
+returns frees them. Collections during a command found nothing to
+free, yet took 11 to 14% of the time of the commands on an imported
+100-action execution.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from itertools import chain, islice
@@ -286,12 +299,18 @@ _PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except (OSError, ValueError) as e:  # SchemaError, CyclicExecutionError included
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        args = _PARSER.parse_args(argv)
+        try:
+            return args.func(args)
+        except (OSError, ValueError) as e:  # SchemaError, CyclicExecutionError included
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -142,11 +142,13 @@ def _tables(d: Diagram) -> _Tables:
     """The derived tables of `d`, built on first use by one pass over
     each step's atoms (`step_atom_lists`: the lists a loaded document
     or a compiled execution keeps, else a walk) and kept in the
-    instance's own __dict__, so they are freed with the diagram. An
-    ill-typed diagram has no order: if a step reads a site its cut
-    lacks, sends one twice or nowhere, or has a perm that hits a site of
-    the next cut twice or never, this raises ValueError with the first
-    fault `validate` names."""
+    instance's own __dict__, so they are freed with the diagram. The
+    pass checks sites, not types: if a step reads a site its cut lacks,
+    sends one twice or nowhere, or has a perm that hits a site of the
+    next cut twice or never, this raises ValueError with the first
+    fault `validate` names. A step whose sites match but whose types do
+    not, such as Tick(B, B) on Leaf(A), is found only by `validate`,
+    which every CLI command runs first."""
     tables = d.__dict__.get(_TABLES)
     if tables is not None:
         return tables

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 
 import pytest
@@ -686,3 +687,166 @@ def test_each_subcommand_declares_its_arguments_in_order():
         assert got == ARGUMENTS[name], name
         flags = [isinstance(a, argparse._StoreTrueAction) for a in rest]
         assert flags == [arg is JSON for arg in ARGUMENTS[name]], name
+
+
+# ---------------------------------------------------------------------------
+# the cycle collector: paused for each command, then as the caller had it
+
+def diamond_chain(rounds, stray=False):
+    """A diamond on lane L beside a ticking lane R, `rounds` times over,
+    each round ending in a swap and a swap back; every tick is labeled,
+    and with `stray` every fork too, which `validate` reports."""
+    steps, lab = [], {}
+    for _ in range(rounds):
+        t = len(steps)
+        steps += [
+            Par(Fork(A, A), Tick(B, B)),
+            Par(Par(Tick(A, A), Tick(A, A)), Tick(B, B)),
+            Par(Join(A, A), Tick(B, B)),
+            PermStep(perm_swap(Leaf(Prod(A, A)), Leaf(B))),
+            PermStep(perm_swap(Leaf(B), Leaf(Prod(A, A)))),
+        ]
+        lab |= {TickRef(t + i, "R"): Action("p9", "p1") for i in range(3)}
+        lab |= {TickRef(t + 1, "LL"): Action("p1", "p1"), TickRef(t + 1, "LR"): Action("p2", "p9")}
+        if stray:
+            lab[TickRef(t, "L")] = Action("p1")
+    return diagram_to_json(Diagram(Tensor(Leaf(Prod(A, A)), Leaf(B)), tuple(steps)), lab)
+
+
+def ring_execution(n):
+    """Actions a1..an dealt round four processes; each odd action sends
+    to the next one, which sits on the next process."""
+    owner = {f"a{i}": f"p{i % 4 + 1}" for i in range(1, n + 1)}
+    processes = {p: tuple(a for a in owner if owner[a] == p) for p in sorted(set(owner.values()))}
+    messages = [(f"a{i}", f"a{i + 1}") for i in range(1, n, 2)]
+    targets = {s: owner[r] for s, r in messages} | {r: owner[s] for s, r in messages}
+    return make_execution(processes, messages, targets)
+
+
+def imported(tmp_path, n):
+    """The file of ring_execution(n), and the document import-execution
+    writes for it."""
+    exe = write(tmp_path, f"ring{n}.json", json.dumps(execution_to_obj(ring_execution(n))))
+    doc = str(tmp_path / f"ring{n}.diagram.json")
+    assert main(["import-execution", exe, "--out", doc]) == 0
+    return exe, doc
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The collector turned on or off before the test, and put back as
+    it was after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_main_leaves_the_collector_as_it_found_it(
+    collector, broken, small_file, monkeypatch, tmp_path, capsys
+):
+    threshold = gc.get_threshold()
+    for argv, code in (
+        (["check-order", small_file], 0),
+        (["check-clock", small_file, "--clock", "vector"], 1),
+        (["validate", str(tmp_path / "absent.json")], 2),
+    ):
+        assert main(argv) == code
+        assert gc.isenabled() is collector
+    for argv, code in ((["--help"], 0), (["frobnicate"], 2), (["validate"], 2)):
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == code
+        assert gc.isenabled() is collector
+
+    def fail(d):
+        raise RuntimeError("checker failed")
+
+    monkeypatch.setattr(cli, "check_order_laws", fail)
+    with pytest.raises(RuntimeError):
+        main(["check-order", small_file])
+    assert gc.isenabled() is collector
+    assert gc.get_threshold() == threshold
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("collector", [True], indirect=True)
+def test_a_command_runs_no_collection(collector, tmp_path, capsys):
+    _, doc = imported(tmp_path, 100)
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        assert main(["timestamps", doc, "--clock", "wb"]) == 0
+    finally:
+        gc.callbacks.remove(record)
+    assert capsys.readouterr().out.count("\n") > 100
+    assert started == []
+
+
+def cyclic_garbage(argv, code):
+    """The objects in reference cycles that `main(argv)` leaves behind;
+    the caller keeps the collector off."""
+    gc.collect()
+    assert main(argv) == code
+    return gc.collect()
+
+
+# Each command's arguments as templates over the inputs of one size, its
+# exit code and the `cli` attribute patched to make it fail; each runs
+# with and without --json where it takes it (ARGUMENTS).
+BROKEN_CLOCK = ("by_name", lambda name: broken_clock())
+BROKEN_ORDER = ("check_order_laws", lambda d: BAD_ORDER)
+COMMANDS = {
+    "validate": (["validate", "{doc}"], 0, None),
+    "validate-faults": (["validate", "{stray}"], 1, None),
+    "render": (["render", "{doc}"], 0, None),
+    "render-imported": (["render", "{imported}", "--format", "ascii"], 0, None),
+    "paths": (["paths", "{doc}", "--from", "0:L", "--to", "end:L", "--limit", "4"], 0, None),
+    "timestamps": (["timestamps", "{doc}", "--clock", "vector"], 0, None),
+    "timestamps-imported": (["timestamps", "{imported}", "--clock", "wb"], 0, None),
+    "check-clock": (["check-clock", "{doc}", "--clock", "vector"], 0, None),
+    "check-clock-broken": (["check-clock", "{imported}", "--clock", "vector"], 1, BROKEN_CLOCK),
+    "check-order": (["check-order", "{imported}"], 0, None),
+    "check-order-broken": (["check-order", "{doc}"], 1, BROKEN_ORDER),
+    "laws": (["laws", "--clock", "wb", "--samples", "{samples}"], 0, None),
+    "laws-broken": (["laws", "--clock", "vector", "--samples", "{samples}"], 1, BROKEN_CLOCK),
+    "gen": (["gen", "--seed", "3", "--max-steps", "{steps}"], 0, None),
+    "import-execution": (["import-execution", "{exe}"], 0, None),
+}
+
+
+@pytest.mark.parametrize("collector", [False], indirect=True)
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_cyclic_garbage_does_not_grow_with_the_input(
+    name, collector, monkeypatch, tmp_path, capsys
+):
+    # The collector can stay paused through a command only because its
+    # data is acyclic: what a command leaves in cycles must not depend
+    # on the input, and must be nothing without --json.
+    argv, code, patch = COMMANDS[name]
+    if patch:
+        monkeypatch.setattr(cli, *patch)
+    sizes = []
+    for scale in (1, 10):
+        exe, doc = imported(tmp_path, 4 * scale)
+        sizes.append({
+            "doc": write(tmp_path, f"chain{scale}.json", diamond_chain(3 * scale)),
+            "stray": write(tmp_path, f"stray{scale}.json", diamond_chain(3 * scale, stray=True)),
+            "exe": exe,
+            "imported": doc,
+            "samples": str(100 * scale),
+            "steps": str(8 * scale),
+        })
+    for flags in ([], ["--json"]) if JSON in ARGUMENTS[argv[0]] else ([],):
+        counts = [
+            cyclic_garbage([a.format(**inputs) for a in argv] + flags, code) for inputs in sizes
+        ]
+        assert counts[0] == counts[1], flags
+        if not flags:
+            assert counts == [0, 0]
+    capsys.readouterr()
