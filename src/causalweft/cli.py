@@ -132,10 +132,12 @@ def _load_clocked(args) -> tuple[Diagram, dict, Clock, dict]:
         obj = read_json(_read(args.valuation), what="valuation file is ")
         if not isinstance(obj, dict):
             raise SchemaError("valuation must be a site-to-timestamp object")
-        valuation = {
-            "" if site == "." else site: stamp_from_obj(clock, stamp)
-            for site, stamp in obj.items()
-        }
+        valuation = {}
+        for site, stamp in obj.items():
+            site = "" if site == "." else site
+            if site in valuation:
+                raise SchemaError(f"valuation names site {site or '.'!r} twice")
+            valuation[site] = stamp_from_obj(clock, stamp)
     for ref, value in lab.items():
         if not isinstance(value, Action):
             raise SchemaError(f"label at {ref} is not an action: {value!r}")

@@ -217,7 +217,8 @@ class Perm:
 
     `pairs` holds (source site, target site) entries sorted by source.
     Use `perm_from_table` to build a checked permutation; instances
-    built directly are re-checked by `validate`.
+    built directly are checked by `validate`, the one check the paths
+    table relies on.
     """
 
     source: Config
@@ -232,17 +233,6 @@ class Perm:
     @cached_property
     def table(self) -> dict[SiteRef, SiteRef]:
         return dict(self.pairs)
-
-    @cached_property
-    def onto(self) -> Mapping[SiteRef, StateType] | None:
-        """The target's site table if each of its sites is hit by exactly
-        one pair, else None. Worked out once per perm; the builders
-        that check it anyway (`perm_from_table`, `perm_id`, the loader)
-        record it, with the table they hold, as they build
-        (`_keep_onto`)."""
-        targets = site_types(self.target)
-        hit = {t for _, t in self.pairs}
-        return targets if len(hit) == len(self.pairs) and hit == targets.keys() else None
 
     def apply(self, site: SiteRef) -> SiteRef:
         return self.table[site]
@@ -292,24 +282,16 @@ def perm_from_table(
     source: Config, target: Config, table: Mapping[SiteRef, SiteRef]
 ) -> Perm:
     """Build a permutation, rejecting tables that are not type-preserving
-    bijections from the sites of `source` onto the sites of `target`."""
+    bijections between the sites of `source` and those of `target`."""
     p = Perm(source, target, tuple(sorted(table.items())))
     faults = p.faults()
     if faults:
         raise ValueError("bad permutation: " + "; ".join(faults))
-    return _keep_onto(p, site_types(target))
-
-
-def _keep_onto(p: Perm, target_types: Mapping[SiteRef, StateType]) -> Perm:
-    """Record that `p` hits each site of its target, whose site table is
-    `target_types`, once, as its builder checked."""
-    p.__dict__["onto"] = target_types
     return p
 
 
 def perm_id(config: Config) -> Perm:
-    types = site_types(config)
-    return _keep_onto(Perm(config, config, tuple((s, s) for s in types)), types)
+    return Perm(config, config, tuple((s, s) for s in site_types(config)))
 
 
 def perm_swap(left: Config, right: Config) -> Perm:
@@ -598,9 +580,10 @@ _FAULTS = "_faults"
 
 
 def _keep_faults(d: Diagram, faults: list[Fault]) -> None:
-    """Record the faults of `d`, found by a walk that typechecked every
-    step as `validate` does, so `validate` reads them instead of
-    walking the steps again."""
+    """Record the faults of `d`, found by the code that built its steps
+    (the loader, which typechecks every step as `validate` does, or the
+    compiler, whose steps have none), so `validate` reads them instead
+    of walking the steps again."""
     d.__dict__[_FAULTS] = faults
 
 
@@ -630,8 +613,9 @@ def validate(d: Diagram) -> list[Fault]:
     compatibility between consecutive steps; within a step, table
     faults come before boundary faults. The list is kept in the
     instance's own __dict__: a loaded document brings the one its
-    parser found (see `serialize`), any other diagram gets one from a
-    walk on first use. Each call returns a fresh copy."""
+    parser found (see `serialize`), a compiled execution an empty one
+    (see `lamport.to_diagram`), any other diagram gets one from a walk
+    on first use. Each call returns a fresh copy."""
     faults = d.__dict__.get(_FAULTS)
     if faults is None:
         faults, have = [], d.initial

@@ -26,14 +26,15 @@ place in the left-nested layout (group i of n sits at L^(n-1-i), then
 R if i > 0) and its place inside the group, so no configuration is
 built to look sites up; these part paths come from one table per
 call. The perm is built only on layers whose group sequence changed,
-and checked against the two slot maps, which also give its target's
-site table; an unchanged sequence is the identity route. Each step is
-emitted as its (path, atom) list, the route perm at "" and group i's
-atom at its part path, and the diagram keeps these lists
-(`diagram._keep_atoms`), so the paths table and `ticks` read them
-instead of walking the steps. The returned tick index maps each
-action id to its tick, which is enough to read the happens-before
-relation back off the diagram.
+and checked against the two slot maps; an unchanged sequence is the
+identity route. Each step is emitted as its (path, atom) list, the
+route perm at "" and group i's atom at its part path, and the diagram
+keeps these lists (`diagram._keep_atoms`), so the paths table and
+`ticks` read them instead of walking the steps. Every step is built
+from the layout it acts on, so the diagram also keeps an empty fault
+list (`diagram._keep_faults`) and `validate` does not walk it. The
+returned tick index maps each action id to its tick, which is enough
+to read the happens-before relation back off the diagram.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .diagram import (
     Tick,
     TickRef,
     _keep_atoms,
-    _keep_onto,
+    _keep_faults,
     noop,
     par,
     tensor,
@@ -208,8 +209,7 @@ def _slot_sites(
 def _route(old: list[_Group], new: list[_Group], parts: _PartPaths) -> Perm:
     """The perm moving each slot from its site in layout `old` to its site
     in `new`, which must hold the same slots, once each, of the same
-    types. The maps list sites in order: the pairs come sorted, and the
-    new map is the target's site table."""
+    types. The old map lists sites in order, so the pairs come sorted."""
     old_at, at = _slot_sites(old, parts), _slot_sites(new, parts)
     if old_at.keys() != at.keys() or not len(at) == sum(map(len, old)) == sum(map(len, new)):
         raise ValueError("bad permutation: the layouts do not hold the same slots once each")
@@ -217,12 +217,11 @@ def _route(old: list[_Group], new: list[_Group], parts: _PartPaths) -> Perm:
         new_ty = at[slot][1]  # one object per message type: mostly `is`
         if new_ty is not ty and new_ty != ty:
             raise ValueError(f"bad permutation: slot {slot!r}:{ty} changes type")
-    perm = Perm(
+    return Perm(
         tensor([g.config for g in old]),
         tensor([g.config for g in new]),
         tuple((site, at[slot][0]) for slot, (site, _) in old_at.items()),
     )
-    return _keep_onto(perm, dict(at.values()))
 
 
 def _step(
@@ -349,6 +348,9 @@ def to_diagram(
 
     initial = tensor([g.config for g in home])
     d = Diagram(initial, tuple(par([atom for _, atom in atoms]) for atoms in kept))
+    # every step acts on the layout it was built from, and every route
+    # was checked against both slot maps: the diagram has no faults
+    _keep_faults(d, [])
     _keep_atoms(d, kept)
     return d, lab, tick_index
 
@@ -359,13 +361,12 @@ def derived_order(
     """The order the diagram imposes on the indexed actions: a before b
     iff a's tick can influence b's tick (`action_order`).
 
-    Each tick is resolved once, in sorted-id order, so a bad ref raises
-    the error of the first failing pair in that order. Then each
-    action's after-row is ANDed with a mask of the start events; an
-    after-row holds only later cuts, so no action precedes itself."""
+    Each tick is resolved once, in sorted-id order, so the first bad ref
+    in that order, even a lone one, raises what `tick_events` raises.
+    Then each action's after-row is ANDed with a mask of the start
+    events; an after-row holds only later cuts, so no action precedes
+    itself."""
     ids = sorted(tick_index)
-    if len(ids) < 2:
-        return frozenset()
     numbers = tick_numbers(d, [tick_index[a] for a in ids])
     starts: dict[int, list[ActionId]] = {}
     for a, (start, _) in zip(ids, numbers):

@@ -8,14 +8,16 @@ order is their existence.
 
 Every order query reads one table of closure rows. Events are numbered
 by (cut, site), their sort order, and row i is the bitmask of the
-events event i can influence, itself included. One pass over each
-step's atoms, by exact class, numbers the events, lists each one's
-one-step successors, which all carry higher numbers, and records each
-tick's output event. The rows come from one sweep down the numbers,
-each the event's own bit or-ed with its successors' rows (cf. Purdom
-1970, "A transitive closure algorithm"). The tables live on the
-diagram instance and are freed with it. The first order query builds
-the rows, so validating, rendering and timestamping never pay.
+events event i can influence, itself included. The table is built only
+for a diagram `validate` accepts; any other is refused in the words of
+its first fault. One pass over each step's atoms, by exact class, then
+numbers the events, lists each one's one-step successors, which all
+carry higher numbers, and records each tick's output event. The rows
+come from one sweep down the numbers, each the event's own bit or-ed
+with its successors' rows (cf. Purdom 1970, "A transitive closure
+algorithm"). The tables live on the diagram instance and are freed
+with it. The first order query builds the rows, so validating,
+rendering and timestamping never pay.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .diagram import (
     Fork,
     GlobalStep,
     Join,
-    Leaf,
     PermStep,
     SiteRef,
     Tick,
@@ -73,12 +74,9 @@ def check_event(d: Diagram, e: Event) -> None:
 
 
 def events(d: Diagram) -> tuple[Event, ...]:
-    """Every event of a diagram, ordered by cut then site."""
-    return tuple(
-        Event(t, s)
-        for t, numbers in enumerate(_tables(d).numbers)
-        for s in numbers
-    )
+    """Every event of a diagram, ordered by cut then site: event i is
+    number i. One tuple per diagram, kept with its tables."""
+    return _tables(d).events
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +117,10 @@ class _Tables:
     def future(self) -> tuple[int, ...]:
         return _closure(self.successors)
 
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        return tuple(Event(t, s) for t, here in enumerate(self.numbers) for s in here)
+
 
 def _closure(successors: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Closure rows: bit j of row i is set iff event i can influence
@@ -139,64 +141,52 @@ _HOLD = (("", ""),)
 
 
 def _tables(d: Diagram) -> _Tables:
-    """The derived tables of `d`, built on first use by one pass over
-    each step's atoms (`step_atom_lists`: the lists a loaded document
-    or a compiled execution keeps, else a walk) and kept in the
-    instance's own __dict__, so they are freed with the diagram. The
-    pass checks sites, not types: if a step reads a site its cut lacks,
-    sends one twice or nowhere, or has a perm that hits a site of the
-    next cut twice or never, this raises ValueError with the first
-    fault `validate` names. A step whose sites match but whose types do
-    not, such as Tick(B, B) on Leaf(A), is found only by `validate`,
-    which every CLI command runs first."""
+    """The derived tables of `d`, built on first use and kept in the
+    instance's own __dict__, so they are freed with the diagram. A
+    diagram `validate` faults is refused with ValueError, in the words
+    of its first fault. The pass then numbers the events of each step's
+    atoms (`step_atom_lists`: the lists a loaded document or a compiled
+    execution keeps, else a walk) without checks of its own."""
     tables = d.__dict__.get(_TABLES)
     if tables is not None:
         return tables
+    faults = validate(d)
+    if faults:
+        raise ValueError(str(faults[0]))
     here = {s: i for i, s in enumerate(site_types(d.initial))}
     numbers, successors, ticks, n = [here], [], {}, len(here)
-    try:
-        for k, atoms in enumerate(step_atom_lists(d)):
-            # atoms come left to right with prefix-free paths, so the
-            # output sites come, and are numbered, in site order
-            base, nxt, out = n - len(here), {}, [None] * len(here)
-            for p, atom in atoms:
-                j = n + len(nxt)  # the number of the atom's first output
-                # exact classes, most common first: this runs once per atom
-                kind = type(atom)
-                if kind is PermStep:
-                    perm = atom.perm
-                    if perm.pairs == _HOLD and type(perm.target) is Leaf:
-                        # an idle hold, taken as a tick is
-                        out[here[p] - base], nxt[p] = (j,), j
-                        continue
-                    targets = perm.onto
-                    if targets is None:  # hits a site twice or never
-                        raise KeyError
-                    for b in targets:
-                        nxt[p + b] = n + len(nxt)
-                    for a, b in perm.pairs:
-                        i = here[p + a] - base
-                        if out[i] is not None:  # sends a site twice
-                            raise KeyError
-                        out[i] = (nxt[p + b],)
-                elif kind is Tick:
+    for k, atoms in enumerate(step_atom_lists(d)):
+        # atoms come left to right with prefix-free paths, so the
+        # output sites come, and are numbered, in site order
+        base, nxt, out = n - len(here), {}, [None] * len(here)
+        for p, atom in atoms:
+            j = n + len(nxt)  # the number of the atom's first output
+            # exact classes, most common first: this runs once per atom
+            kind = type(atom)
+            if kind is PermStep:
+                pairs = atom.perm.pairs
+                if pairs == _HOLD:  # an idle hold, taken as a tick is
                     out[here[p] - base], nxt[p] = (j,), j
-                    ticks[j] = k, p
-                elif kind is Fork:
-                    out[here[p] - base] = (j, j + 1)
-                    nxt[p + "L"], nxt[p + "R"] = j, j + 1
-                elif kind is Join:
-                    out[here[p + "L"] - base] = out[here[p + "R"] - base] = (j,)
-                    nxt[p] = j
-                else:
-                    raise TypeError(f"not a step: {atom!r}")
-            if None in out:  # a site no atom reads
-                raise KeyError
-            successors += out
-            numbers.append(nxt)
-            here, n = nxt, n + len(nxt)
-    except KeyError:  # a site the cut lacks, or a fault raised as one above
-        raise ValueError(str(validate(d)[0])) from None
+                    continue
+                # target sites are prefix-free, so sorted is site order
+                for b in sorted([b for _, b in pairs]):
+                    nxt[p + b] = n + len(nxt)
+                for a, b in pairs:
+                    out[here[p + a] - base] = (nxt[p + b],)
+            elif kind is Tick:
+                out[here[p] - base], nxt[p] = (j,), j
+                ticks[j] = k, p
+            elif kind is Fork:
+                out[here[p] - base] = (j, j + 1)
+                nxt[p + "L"], nxt[p + "R"] = j, j + 1
+            elif kind is Join:
+                out[here[p + "L"] - base] = out[here[p + "R"] - base] = (j,)
+                nxt[p] = j
+            else:
+                raise TypeError(f"not a step: {atom!r}")
+        successors += out
+        numbers.append(nxt)
+        here, n = nxt, n + len(nxt)
     successors += [()] * len(here)
     return d.__dict__.setdefault(_TABLES, _Tables(tuple(numbers), tuple(successors), ticks))
 
@@ -338,11 +328,10 @@ def _enumerate(
     """All trajectories from (t1, s1) to (t2, s2), lexicographic by
     trajectory. Lazy; prunes branches whose closure row misses s2."""
     tables = _tables(d)
-    successors, future = tables.successors, tables.future
+    successors, future, evs = tables.successors, tables.future, tables.events
     i, target = tables.numbers[t1][s1], 1 << tables.numbers[t2][s2]
     if not future[i] & target:
         return
-    names = {j: s for here in tables.numbers[t1 : t2 + 1] for s, j in here.items()}
 
     # Depth-first with an explicit stack, so a long span is not bounded
     # by the recursion limit. prefix[k] is the event at cut t1 + k and
@@ -357,7 +346,7 @@ def _enumerate(
             stack.pop()
             prefix.pop()
         elif t1 + len(stack) == t2:
-            yield PathWitness(t1, tuple(names[k] for k in (*prefix, b)))
+            yield PathWitness(t1, tuple(evs[k].site for k in (*prefix, b)))
         else:
             prefix.append(b)
             stack.append(iter(successors[b]))

@@ -21,24 +21,25 @@ table's target is its source). Parsing is one walk per step, which
 also yields the configuration the next step applies to. Parsing also
 typechecks: the walk checks each step against the configuration it
 applies to, and `validate` on a loaded diagram reads the faults it
-found. The walk also lists each step's atoms with their paths, in the
-order `step_atoms` gives, and the loaded diagram keeps those lists,
-so its event tables and `ticks` read them instead of walking the steps
-again. Each load hash-conses what it reads (`_Reader`): equal types
-and configurations are one object, each tick, fork and join over the
-same types is one object with its boundary configurations, and a perm
-table met again on the same configuration object is checked and
-rebuilt once. A table met for the first time is read in one pass: its
-keys against the site table, its values as strings, then one stack
-merge over the values in order that builds the target and its site
-table. That pass is the only perm builder; a table it refuses goes
-through the checks one by one, in their fixed order, only to name its
-fault (`_perm_fault`). Label values of the form {"actor": ...,
-"target": ...} are read back as Actions, whose actor and target must
-be strings or integers; anything else passes through as plain JSON.
-`label_value_from_obj`, the one action read for labels and executions,
-reads the common shape (string actor and target) in one pass, as a
-label entry reads its int step and L/R path.
+found, so the paths table, which numbers only a diagram `validate`
+accepts, walks no step to check it. The walk also lists each step's
+atoms with their paths, in the order `step_atoms` gives, and the
+loaded diagram keeps those lists, so its event tables and `ticks` read
+them instead of walking the steps again. Each load hash-conses what it
+reads (`_Reader`): equal types and configurations are one object, each
+tick, fork and join over the same types is one object with its
+boundary configurations, and a perm table met again on the same
+configuration object is checked and rebuilt once. A table met for the
+first time is read in one pass: its keys against the site table, its
+values as strings, then one stack merge over the values in order that
+builds the target. That pass is the only perm builder; a table it
+refuses goes through the checks one by one, in their fixed order, only
+to name its fault (`_perm_fault`). Label values of the form
+{"actor": ..., "target": ...} are read back as Actions, whose actor
+and target must be strings or integers; anything else passes through
+as plain JSON. `label_value_from_obj`, the one action read for labels
+and executions, reads the common shape (string actor and target) in
+one pass, as a label entry reads its int step and L/R path.
 
 Printing is canonical (sorted keys, no whitespace, labels sorted by
 step then path), so parse-then-print is byte-stable and documents can
@@ -94,7 +95,6 @@ from .diagram import (
     TickRef,
     _keep_atoms,
     _keep_faults,
-    _keep_onto,
     check_boundary,
     site_types,
 )
@@ -283,13 +283,12 @@ class _Reader:
                 return None
         pairs = tuple(sorted(table.items()))
         if list(table.values()) == list(table):
-            return _keep_onto(Perm(context, context, pairs), types)
-        target_types: dict[str, StateType] = {}
+            return Perm(context, context, pairs)
         paths: list[str] = []
         nodes: list[Config] = []
         terms = self.terms  # each node is `term`, inline
         for t, s in sorted(zip(table.values(), table)):
-            ty = target_types[t] = types[s]
+            ty = types[s]
             key = (Leaf, id(ty), id(None))
             node = terms.get(key) or terms.setdefault(key, Leaf(ty))
             while t and t[-1] == "R" and paths and paths[-1] == t[:-1] + "L":
@@ -302,7 +301,7 @@ class _Reader:
             nodes.append(node)
         if paths != [""]:
             return None
-        return _keep_onto(Perm(context, nodes[0], pairs), target_types)
+        return Perm(context, nodes[0], pairs)
 
     def step(
         self,

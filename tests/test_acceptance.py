@@ -21,7 +21,7 @@ from causalweft.clocks import (
     update,
     wb_clock,
 )
-from causalweft.diagram import sites, validate
+from causalweft.diagram import Diagram, sites, validate
 from causalweft.lamport import (
     CyclicExecutionError,
     Execution,
@@ -196,6 +196,7 @@ def test_executions_round_trip_through_diagrams(criterion):
             x = gen_execution(seed, max_processes=4, max_actions=12)
             hb = hb_closure(x)
             d, lab, tick_index = to_diagram(x)
+            assert validate(Diagram(d.initial, d.steps)) == [], seed
             assert derived_order(d, tick_index) == hb, seed
 
         cyclic = Execution(

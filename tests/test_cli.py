@@ -332,6 +332,17 @@ def test_timestamps_reject_bad_valuation_files(tmp_path, flow_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["timestamps", "check-clock"])
+def test_a_valuation_file_that_names_a_site_twice_is_an_input_error(tmp_path, command, capsys):
+    # "." and "" both name the root site
+    doc = write(tmp_path, "two.json", diagram_to_json(*build_two_tick()))
+    val = write(tmp_path, "val.json", json.dumps({".": {"p1": 5}, "": {"p1": 1}}))
+    assert main([command, doc, "--clock", "vector", "--valuation", val]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: valuation names site '.' twice\n"
+
+
 def test_a_valuation_file_that_is_not_json_is_an_input_error(tmp_path, flow_file, capsys):
     val = write(tmp_path, "val.json", '{"L": ')
     assert main(["timestamps", flow_file, "--clock", "scalar", "--valuation", val]) == 2

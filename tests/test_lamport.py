@@ -21,7 +21,6 @@ from causalweft.diagram import (
     cut_configs,
     labeling_faults,
     n_sites,
-    site_types,
     step_atom_lists,
     step_atoms,
     ticks,
@@ -166,7 +165,7 @@ def test_to_diagram_takes_400_one_action_processes():
     wide = make_execution({f"p{i}": (f"a{i}",) for i in range(400)})
     d, lab, index = to_diagram(wide)
     assert n_sites(d.initial) == 400 and len(lab) == len(index) == 400
-    assert validate(d) == []
+    assert validate(Diagram(d.initial, d.steps)) == []
 
 
 def test_internal_actions_compile_to_bare_ticks():
@@ -181,7 +180,7 @@ def test_internal_actions_compile_to_bare_ticks():
 
 def test_ping_compiles_to_the_factored_form():
     d, lab, tick_index = to_diagram(PING)
-    assert validate(d) == []
+    assert validate(Diagram(d.initial, d.steps)) == []
     assert [atoms_of(s) for s in d.steps] == [
         ["tick"],
         ["fork"],
@@ -252,15 +251,15 @@ def test_the_compiler_keeps_each_steps_atom_list():
 
 def test_every_emitted_perm_is_a_checked_bijection_onto_its_target():
     # the compiler checks each route against its slot maps, not with
-    # `perm_from_table`; the full check runs here, and the target site
-    # table it keeps, which `paths` numbers events from, must be the
-    # target's own, in site order
+    # `perm_from_table`, and keeps an empty fault list; the full checks
+    # run here
     xs = [gen_execution(seed, 8, 100) for seed in range(200)]
     xs.append(gen_execution(910, 8, 800))
     assert len(xs[-1].action_ids()) == 797
     routes = 0
     for x in xs:
         d, _, _ = to_diagram(x)
+        assert validate(Diagram(d.initial, d.steps)) == []
         perms = {
             id(atom.perm): atom.perm
             for step in d.steps
@@ -269,7 +268,6 @@ def test_every_emitted_perm_is_a_checked_bijection_onto_its_target():
         }
         for perm in perms.values():
             assert perm.faults() == []
-            assert list(perm.onto.items()) == list(site_types(perm.target).items())
             assert perm.pairs == tuple(sorted(perm.pairs))
         routes += sum(isinstance(s, PermStep) for s in d.steps)
     assert routes > 1000
@@ -348,7 +346,7 @@ def test_generated_executions_round_trip():
         if not x.processes:
             continue
         d, lab, tick_index = to_diagram(x)
-        assert validate(d) == []
+        assert validate(Diagram(d.initial, d.steps)) == []
         assert labeling_faults(d, lab) == []
         assert set(tick_index) == set(x.action_ids())
         assert derived_order(d, tick_index) == hb
@@ -427,8 +425,10 @@ def test_derived_order_raises_for_the_first_bad_id_in_sorted_order():
             with pytest.raises(ValueError) as err:
                 order(d, index)
             assert str(err.value) == text
-    # a single id is never resolved, since it has no pair
-    assert derived_order(d, {"a9": fork}) == frozenset()
+    # a single id is resolved too, though it has no pair
+    with pytest.raises(ValueError) as err:
+        derived_order(d, {"a9": fork})
+    assert str(err.value) == "TickRef(step=1, path='L') names a Fork, not a tick"
     # both refs of a pair are checked before an ill-typed diagram's
     # tables raise (the join reads L and R, which cut 1 lacks)
     A = Atom("A")

@@ -67,6 +67,7 @@ def test_events_enumeration(message_flow):
     assert Event(3, "L") in evs
     assert len(evs) == 2 + 3 + 3 + 2
     assert list(evs) == sorted(evs)
+    assert events(d) is evs  # one tuple per diagram, kept with its tables
 
 
 def test_check_event_rejects_bad_coordinates(message_flow):
@@ -100,6 +101,22 @@ def test_an_ill_typed_diagram_gets_no_order():
         d = Diagram(pair, (noop(pair), PermStep(Perm(pair, pair, pairs))))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             events(d)
+
+
+def test_a_fault_of_types_alone_gets_no_order():
+    # every site is read once; only the tick's input type is wrong
+    d = Diagram(Leaf(A), (Tick(B, B),))
+    message = "step 0 at .: step expects [B], found [A]"
+    assert [str(f) for f in validate(Diagram(d.initial, d.steps))] == [message]
+    c = vector_clock()
+    for query in (
+        lambda: causally_ordered(d, Event(0, ""), Event(1, "")),
+        lambda: event_stamps(d, {}, c, zero_valuation(c, d.initial)),
+        lambda: to_dot(d),
+        lambda: check_order_laws(d),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            query()
 
 
 def test_a_perm_that_sends_a_site_twice_gets_no_order():
@@ -198,31 +215,32 @@ def _mutated_diagram(seed: int, rng: random.Random) -> Diagram:
 
 
 def test_the_tables_refuse_an_ill_typed_diagram_in_validates_words():
-    # every refusal of the paths tables is the first fault `validate`
-    # names; every diagram `validate` accepts builds its tables
+    # every diagram `validate` faults, on site or on type, is refused by
+    # each table query with its first fault; every other one builds its
+    # tables. The queries run before `d` itself is validated.
     rng = random.Random(21)
     refused = accepted = 0
     for seed in range(1500):
         d = _mutated_diagram(seed, rng)
-        try:
+        faults = validate(Diagram(d.initial, d.steps))
+        if not faults:
             step_successors(d)
-        except ValueError as refusal:
-            message = str(validate(d)[0])
-            assert str(refusal) == message
-            c = vector_clock()
-            lab = {r: Action("p") for r in ticks(d)}
-            for query in (
-                lambda: events(d),
-                lambda: step_successors(d),
-                lambda: event_stamps(d, lab, c, zero_valuation(c, d.initial)),
-            ):
-                with pytest.raises(ValueError) as info:
-                    query()
-                assert str(info.value) == message
-            refused += 1
+            accepted += 1
             continue
-        accepted += not validate(d)
-    assert refused > 600 and accepted > 200
+        message = str(faults[0])
+        c = vector_clock()
+        lab = {r: Action("p") for r in ticks(d)}
+        for query in (
+            lambda: events(d),
+            lambda: step_successors(d),
+            lambda: causally_ordered(d, Event(0, ""), Event(0, "")),
+            lambda: event_stamps(d, lab, c, zero_valuation(c, d.initial)),
+        ):
+            with pytest.raises(ValueError) as info:
+                query()
+            assert str(info.value) == message
+        refused += 1
+    assert refused > 1000 and accepted > 200
 
 
 def test_event_str():
@@ -495,6 +513,19 @@ def test_tick_refs_of_other_field_types_are_refused():
             action_order(d, good, bad)
         with pytest.raises(ValueError, match=message):
             derived_order(d, {"a": good, "b": bad})
+
+
+def test_a_lone_bad_tick_ref_is_refused():
+    # one ref alone is resolved as a ref beside others is
+    d = Diagram(Tensor(Leaf(A), Leaf(A)), (Par(Tick(A, A), Tick(A, A)),))
+    for bad in (TickRef(99, "X"), TickRef(0, "X"), TickRef(0, 7), TickRef(1, "L")):
+        with pytest.raises(ValueError) as want:
+            tick_events(d, bad)
+        with pytest.raises(ValueError) as got:
+            derived_order(d, {"a": bad})
+        assert str(got.value) == str(want.value)
+    assert derived_order(d, {}) == frozenset()
+    assert derived_order(d, {"a": TickRef(0, "L")}) == frozenset()
 
 
 def test_action_order_is_irreflexive(small_corpus, two_tick):

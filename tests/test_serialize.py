@@ -26,7 +26,6 @@ from causalweft.diagram import (
     TickRef,
     noop,
     par,
-    site_types,
     sites,
     step_atom_lists,
     step_atoms,
@@ -380,7 +379,6 @@ def test_the_one_pass_perm_read_agrees_with_the_ordered_checks():
             _perm_fault(table, context)  # never returns, even on a sound table
         assert (got.source, got.target, got.pairs) == (want.source, want.target, want.pairs)
         assert got.target is want.target  # both hash-consed by the reader
-        assert list(got.onto.items()) == list(site_types(got.target).items())
         taken += 1
     assert taken > 1000 and refused > 1000
 
