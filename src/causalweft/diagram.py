@@ -393,31 +393,31 @@ def noop(config: Config) -> PermStep:
 
 
 # `validate` of a diagram built in code and `step_input`/`step_output`
-# call these on every atom, so the class patterns take no positional
-# subpatterns, each of which costs a __match_args__ lookup.
+# call these on every atom. They dispatch on exact classes, as the paths
+# tables and the writer do, so all of them refuse a subclass alike.
 def _atom_input(atom: AtomicStep) -> Config:
-    match atom:
-        case Tick():
-            return Leaf(atom.in_ty)
-        case Fork():
-            return Leaf(Prod(atom.left_ty, atom.right_ty))
-        case Join():
-            return Tensor(Leaf(atom.left_ty), Leaf(atom.right_ty))
-        case PermStep():
-            return atom.perm.source
+    kind = type(atom)
+    if kind is Tick:
+        return Leaf(atom.in_ty)
+    if kind is Fork:
+        return Leaf(Prod(atom.left_ty, atom.right_ty))
+    if kind is Join:
+        return Tensor(Leaf(atom.left_ty), Leaf(atom.right_ty))
+    if kind is PermStep:
+        return atom.perm.source
     raise TypeError(f"not a step: {atom!r}")
 
 
 def _atom_output(atom: AtomicStep) -> Config:
-    match atom:
-        case Tick():
-            return Leaf(atom.out_ty)
-        case Fork():
-            return Tensor(Leaf(atom.left_ty), Leaf(atom.right_ty))
-        case Join():
-            return Leaf(Prod(atom.left_ty, atom.right_ty))
-        case PermStep():
-            return atom.perm.target
+    kind = type(atom)
+    if kind is Tick:
+        return Leaf(atom.out_ty)
+    if kind is Fork:
+        return Tensor(Leaf(atom.left_ty), Leaf(atom.right_ty))
+    if kind is Join:
+        return Leaf(Prod(atom.left_ty, atom.right_ty))
+    if kind is PermStep:
+        return atom.perm.target
     raise TypeError(f"not a step: {atom!r}")
 
 

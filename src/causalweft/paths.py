@@ -216,12 +216,6 @@ def step_successors(d: Diagram) -> tuple[tuple[int, ...], ...]:
     return _tables(d).successors
 
 
-def closure_rebuilt(d: Diagram) -> tuple[int, ...]:
-    """The closure rows built again from the step edges by the sweep
-    that builds `future_rows`, without reading the kept rows."""
-    return _closure(_tables(d).successors)
-
-
 def set_bits(row: int) -> Iterator[int]:
     """The positions of the set bits of a closure row, ascending. A row
     of up to 1024 bits is read a low bit at a time. Each such step

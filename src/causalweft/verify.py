@@ -4,11 +4,12 @@ Two executable facts about clocks pushed through diagrams: updates
 never lose ground across a diagram (inflationarity), and timestamps
 respect causal order between events (the clock condition). The clock
 condition is checked as it is proved: once per step edge, since a
-chain of edges joins every ordered pair and `leq` is transitive. Only
-when an edge fails does the checker read every pair off the closure
-rows of `paths`. Both checkers attach a concrete trajectory witness to
-every violation, so a failure is a checkable object rather than a
-boolean.
+chain of edges joins every ordered pair and `leq` is transitive; the
+order laws are certified per step edge too. Only when an edge fails
+is every pair read off the closure rows of `paths`, which also give
+inflationarity its pairs. One loop turns failing pairs into
+violations, each with a concrete trajectory witness, so a failure is
+a checkable object rather than a boolean.
 
 The generators build random well-typed diagrams and random acyclic
 executions from a seed, types first, so no rejection sampling is
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .clocks import (
     Action,
@@ -58,12 +59,10 @@ from .paths import (
     Event,
     PathWitness,
     causal_paths,
-    closure_rebuilt,
     cut_numbers,
     events,
     future_rows,
     set_bits,
-    span_enumerate,
     step_relation,
     step_successors,
 )
@@ -266,6 +265,20 @@ def _edges_hold(
     return True
 
 
+def _violations(
+    d: Diagram, stamps: list[Any], leq, pairs: Iterable[tuple[int, int]]
+) -> tuple[Violation, ...]:
+    """One violation per ordered pair of event numbers whose stamps
+    `leq` refuses, in the order given, with its first witness."""
+    evs = events(d)
+    out = []
+    for i, j in pairs:
+        if not leq(stamps[i], stamps[j]):
+            witness = next(causal_paths(d, evs[i], evs[j]))
+            out.append(Violation(evs[i], evs[j], stamps[i], stamps[j], witness))
+    return tuple(out)
+
+
 def check_clock_condition(
     d: Diagram,
     lab: Mapping[TickRef, Action],
@@ -276,25 +289,18 @@ def check_clock_condition(
     timestamps? The stamps are first checked per step edge
     (`_edges_hold`); if that passes, no pair can fail and the pairs are
     only counted. Otherwise every pair is read off the closure rows in
-    event order, not found by enumerating trajectories, and each
-    violation carries the first witness in enumeration order."""
+    event order, not found by enumerating trajectories."""
     if valuation is None:
         valuation = zero_valuation(clock, d.initial)
     stamps = event_stamps(d, lab, clock, valuation)
     rows = future_rows(d)
     checked = sum(row.bit_count() for row in rows)
-    leq = clock.leq
-    if _edges_hold(stamps, step_successors(d), leq):
+    if _edges_hold(stamps, step_successors(d), clock.leq):
         return ViolationReport("clock-condition", checked, ())
-    evs = events(d)
-    violations = []
-    for i, row in enumerate(rows):
-        here = stamps[i]
-        for j in set_bits(row):
-            if not leq(here, stamps[j]):
-                witness = next(causal_paths(d, evs[i], evs[j]))
-                violations.append(Violation(evs[i], evs[j], here, stamps[j], witness))
-    return ViolationReport("clock-condition", checked, tuple(violations))
+    pairs = ((i, j) for i, row in enumerate(rows) for j in set_bits(row))
+    return ViolationReport(
+        "clock-condition", checked, _violations(d, stamps, clock.leq, pairs)
+    )
 
 
 def check_update_inflationary(
@@ -304,27 +310,17 @@ def check_update_inflationary(
     valuation: Valuation | None = None,
 ) -> ViolationReport:
     """Does pushing a valuation through the diagram only grow it, on
-    every connected (initial site, final site) pair?"""
+    every connected (initial site, final site) pair? The rows of the
+    initial events give the pairs, masked to the last cut's numbers."""
     if valuation is None:
         valuation = zero_valuation(clock, d.initial)
     stamps = event_stamps(d, lab, clock, valuation)
-    violations = []
-    checked = 0
-    n = d.n_steps
     rows, numbers = future_rows(d), cut_numbers(d)
-    for s1, i in numbers[0].items():
-        for s2, j in numbers[n].items():
-            if not rows[i] >> j & 1:
-                continue
-            checked += 1
-            if not clock.leq(valuation[s1], stamps[j]):
-                witness = next(span_enumerate(d, s1, s2))
-                violations.append(
-                    Violation(
-                        Event(0, s1), Event(n, s2), valuation[s1], stamps[j], witness
-                    )
-                )
-    return ViolationReport("update-inflationary", checked, tuple(violations))
+    last = -1 << (len(rows) - len(numbers[-1]))
+    pairs = [(i, j) for i in range(len(numbers[0])) for j in set_bits(rows[i] & last)]
+    return ViolationReport(
+        "update-inflationary", len(pairs), _violations(d, stamps, clock.leq, pairs)
+    )
 
 
 def _event_obj(e: Event) -> dict:
@@ -538,16 +534,22 @@ def check_order_laws(d: Diagram) -> OrderLawReport:
     diagram. A row must hold its own event (reflexivity), no other
     event it holds may hold it back (antisymmetry), and the row of
     every event it holds must be a subset of it (transitivity). Rows
-    equal to a fresh run of the sweep that builds them satisfy all
-    three, and only their pairs are counted: by induction from the last
-    cut back, each such row is its own bit or-ed with the rows of its
-    one-step successors, so it holds its own event, otherwise only
-    events at later cuts, and the row of every event it holds.
-    Otherwise every pair is visited, rows in event order, so every
-    failure list comes out sorted."""
+    that are each their own bit or-ed with the rows of their one-step
+    successors, checked once per step edge, satisfy all three, and
+    only their pairs are counted: by induction from the last cut back,
+    such a row holds its own event, otherwise only events at later
+    cuts, and the row of every event it holds. Otherwise every pair is
+    visited, rows in event order, so every failure list comes out
+    sorted."""
     rows = future_rows(d)
     pairs = sum(row.bit_count() for row in rows)
-    if rows == closure_rebuilt(d):
+    for i, nexts in enumerate(step_successors(d)):
+        row = 1 << i
+        for j in nexts:
+            row |= rows[j]
+        if row != rows[i]:
+            break
+    else:
         return OrderLawReport(len(rows), pairs, (), (), ())
     evs = events(d)
     reflexivity = tuple(e for i, e in enumerate(evs) if not rows[i] >> i & 1)

@@ -239,12 +239,18 @@ def test_step_atoms_walk_left_to_right():
         with pytest.raises(TypeError, match="not a step"):
             walk(bad)
 
-    # the event tables dispatch on exact classes
+    # every judge of a step dispatches on exact classes: `validate`, the
+    # step's ends and the event tables refuse a subclass alike
     class Tock(Tick):
         pass
 
-    with pytest.raises(TypeError, match="not a step: .*Tock"):
-        cut_numbers(Diagram(Leaf(A), (Tock(A, A),)))
+    tock = Tock(A, A)
+    d = Diagram(Leaf(A), (tock,))
+    for judge, arg in (
+        (validate, d), (cut_numbers, d), (step_input, tock), (step_output, tock)
+    ):
+        with pytest.raises(TypeError, match=r"^not a step: \S*Tock\("):
+            judge(arg)
 
 
 def test_par_builder():

@@ -1,12 +1,13 @@
 """The clock condition is tested per step edge and the order rows are
-certified by a fresh run of the sweep that builds them; when that
-passes, the checkers only count pairs. These tests hold them to
-exhaustive pair loops kept here, on the corpus and on planted faults in
-the closure rows."""
+certified per step edge, each row against the rows of its one-step
+successors; when that passes, the checkers only count pairs. These
+tests hold them to exhaustive pair loops kept here, on the corpus and
+on planted faults in the closure rows."""
 
 import random
 from dataclasses import replace
 
+from causalweft import paths
 from causalweft.clocks import (
     CLOCK_NAMES,
     Clock,
@@ -140,6 +141,13 @@ def test_inflationarity_and_order_laws_equal_the_pair_loop_on_the_corpus(corpus)
             got = check_update_inflationary(d, lab, clock, valuation)
             want = reference_inflationary(d, lab, clock, valuation)
             assert report_to_obj(got, clock) == report_to_obj(want, clock)
+            # the spanning violations of the clock condition, stamps and
+            # witnesses included
+            cond = check_clock_condition(d, lab, clock, valuation)
+            assert got.violations == tuple(
+                v for v in cond.violations
+                if v.source.cut == 0 and v.dest.cut == d.n_steps
+            )
             failing += not got.ok
         assert check_order_laws(d) == reference_order_laws(d)
     assert failing > 0
@@ -156,6 +164,19 @@ def test_the_clock_condition_calls_leq_once_per_stamp_and_edge():
     assert report.ok and report.checked_pairs == 170657
     edges = sum(len(step_relation(step)) for step in d.steps)
     assert len(calls) <= len(events(d)) + edges < report.checked_pairs
+
+
+def test_check_order_sweeps_the_closure_once(monkeypatch):
+    sweeps, closure = [], paths._closure
+
+    def counted(successors):
+        sweeps.append(len(successors))
+        return closure(successors)
+
+    monkeypatch.setattr(paths, "_closure", counted)
+    d, _ = gen_diagram(GenParams(seed=3, max_steps=64, max_sites=16))
+    assert check_order_laws(d).ok
+    assert sweeps == [len(events(d))]
 
 
 def test_inflationarity_calls_leq_once_per_connected_pair(small_corpus):
