@@ -65,7 +65,7 @@ from .diagram import (
     par,
     tensor,
 )
-from .paths import future_rows, set_bits, tick_numbers
+from .paths import tick_numbers, wire_table
 from .serialize import SchemaError, label_value_from_obj, label_value_to_obj, read_json
 from .verify import warshall
 
@@ -363,22 +363,14 @@ def derived_order(
 
     Each tick is resolved once, in sorted-id order, so the first bad ref
     in that order, even a lone one, raises what `tick_events` raises.
-    Then each action's after-row is ANDed with a mask of the start
-    events; an after-row holds only later cuts, so no action precedes
-    itself."""
+    An after-event heads its wire, so it reaches a start event exactly when
+    its wire is in the start's wire history: one bit test per action pair."""
     ids = sorted(tick_index)
     numbers = tick_numbers(d, [tick_index[a] for a in ids])
-    starts: dict[int, list[ActionId]] = {}
-    for a, (start, _) in zip(ids, numbers):
-        starts.setdefault(start, []).append(a)
-    mask = sum(1 << start for start in starts)
-    rows = future_rows(d)
-    return frozenset(
-        (a, b)
-        for a, (_, after) in zip(ids, numbers)
-        for start in set_bits(rows[after] & mask)
-        for b in starts[start]
-    )
+    wires = wire_table(d)
+    afters = [(a, wires.wire[after]) for a, (_, after) in zip(ids, numbers)]
+    starts = [(b, wires.history[wires.wire[start]]) for b, (start, _) in zip(ids, numbers)]
+    return frozenset((a, b) for a, w in afters for b, past in starts if past >> w & 1)
 
 
 # ---------------------------------------------------------------------------

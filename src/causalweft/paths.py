@@ -6,24 +6,23 @@ moving through one step at a time along the step's connectivity
 relation. Trajectories double as checkable witnesses, and causal
 order is their existence.
 
-Every order query reads one table of closure rows. Events are numbered
-by (cut, site), their sort order, and row i is the bitmask of the
-events event i can influence, itself included. The table is built only
-for a diagram `validate` accepts; any other is refused in the words of
-its first fault. One pass over each step's atoms, by exact class, then
-numbers the events, lists each one's one-step successors, which all
-carry higher numbers, and records each tick's output event. The rows
-come from one sweep down the numbers, each the event's own bit or-ed
-with its successors' rows (cf. Purdom 1970, "A transitive closure
-algorithm"). The tables live on the diagram instance and are freed
-with it. The first order query builds the rows, so validating,
-rendering and timestamping never pay.
+Every order query reads one wire table. Events are numbered by (cut,
+site), their sort order. A wire is a maximal run of events joined by
+copies (perm pairs, idle holds), headed by an initial event or an
+output of a tick, fork or join; its history is the bitset of the wires
+that reach its head, itself included (the causal-history clock of
+Schwarz & Mattern 1994, per wire). So event i reaches event j exactly
+when i <= j and i's wire is in j's wire's history. The table is built
+on the first order query, only for a diagram `validate` accepts, by one
+pass over each step's atoms and one sweep up the numbers. It lives on
+the diagram instance; validating, rendering and timestamping never pay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .diagram import (
@@ -105,6 +104,43 @@ def step_relation(step: GlobalStep) -> set[tuple[SiteRef, SiteRef]]:
 
 
 @dataclass(frozen=True)
+class Wires:
+    """Causal order as wires: each event's wire, and per wire the bitset
+    of the wires that reach its head, itself included."""
+
+    wire: tuple[int, ...]
+    history: tuple[int, ...]
+
+    def reaches(self, i: int, j: int) -> bool:
+        """Can event i influence event j?"""
+        return i <= j and self.history[self.wire[j]] >> self.wire[i] & 1 == 1
+
+    def pair_count(self) -> int:
+        """Ordered event pairs: L(L+1)/2 on a wire of length L, plus K*L per
+        other wire of length K in its history, summed by binary digit with
+        the wire's own L (hence L*L taken off first)."""
+        lengths = [0] * len(self.history)
+        for w in self.wire:
+            lengths[w] += 1
+        total = (len(self.wire) - sum(map(mul, lengths, lengths))) // 2
+        for b in range(max(lengths).bit_length()):
+            digit = sum(1 << w for w, n in enumerate(lengths) if n >> b & 1)
+            counts = map(int.bit_count, map(digit.__and__, self.history))
+            total += sum(map(mul, lengths, counts)) << b
+        return total
+
+    def rows(self) -> list[int]:
+        """One row per event, quadratic in the events: bit j of row i is set iff i reaches j."""
+        members, ahead = [0] * len(self.history), [0] * len(self.history)
+        for i, w in enumerate(self.wire):
+            members[w] |= 1 << i
+        for w, past in enumerate(self.history):
+            for u in set_bits(past):
+                ahead[u] |= members[w]
+        return [ahead[w] >> i << i for i, w in enumerate(self.wire)]
+
+
+@dataclass(frozen=True)
 class _Tables:
     # per cut: site -> event number, in site order
     numbers: tuple[Mapping[SiteRef, int], ...]
@@ -114,24 +150,33 @@ class _Tables:
     ticks: Mapping[int, tuple[int, str]]
 
     @cached_property
-    def future(self) -> tuple[int, ...]:
-        return _closure(self.successors)
+    def wires(self) -> Wires:
+        return _sweep_wires(self.successors, self.ticks)
 
     @cached_property
     def events(self) -> tuple[Event, ...]:
         return tuple(Event(t, s) for t, here in enumerate(self.numbers) for s in here)
 
 
-def _closure(successors: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Closure rows: bit j of row i is set iff event i can influence
-    event j. One sweep down the numbers; successors carry higher ones."""
-    rows = [0] * len(successors)
-    for i in range(len(successors) - 1, -1, -1):
-        row = 1 << i
-        for j in successors[i]:
-            row |= rows[j]
-        rows[i] = row
-    return tuple(rows)
+def _sweep_wires(successors: Sequence[Sequence[int]], ticks: Mapping) -> Wires:
+    """One sweep up the numbers: an event not yet reached is initial. A
+    copy keeps its input's wire; a tick output and each fork output
+    start a wire with the input's history, and a join output starts one
+    when its second input arrives, with the union of both."""
+    wire, history = [-1] * len(successors), []
+    for i, nexts in enumerate(successors):
+        if wire[i] < 0:
+            wire[i] = len(history)
+            history.append(1 << wire[i])
+        w = wire[i]
+        for j in nexts:
+            if wire[j] < 0 and len(nexts) == 1 and j not in ticks:
+                wire[j] = w  # a copy, or a join's first input
+            else:  # a new wire, with both histories at a join
+                past = history[w] | (history[wire[j]] if wire[j] >= 0 else 0)
+                wire[j] = len(history)
+                history.append(past | 1 << wire[j])
+    return Wires(tuple(wire), tuple(history))
 
 
 _TABLES = "_paths_tables"
@@ -201,11 +246,9 @@ def tick_outputs(d: Diagram) -> Mapping[int, tuple[int, str]]:
     return _tables(d).ticks
 
 
-def future_rows(d: Diagram) -> tuple[int, ...]:
-    """The causal order of a diagram as closure rows: bit j of row i is
-    set iff event i can influence event j, with events numbered as
-    `events(d)` lists them (by cut, then site)."""
-    return _tables(d).future
+def wire_table(d: Diagram) -> Wires:
+    """The causal order of `d` as wires, events numbered as `events(d)`."""
+    return _tables(d).wires
 
 
 def step_successors(d: Diagram) -> tuple[tuple[int, ...], ...]:
@@ -217,9 +260,9 @@ def step_successors(d: Diagram) -> tuple[tuple[int, ...], ...]:
 
 
 def set_bits(row: int) -> Iterator[int]:
-    """The positions of the set bits of a closure row, ascending. A row
+    """The positions of the set bits of a bitset, ascending. A bitset
     of up to 1024 bits is read a low bit at a time. Each such step
-    costs time linear in the row's width, so a wider row is read off its
+    costs time linear in its width, so a wider one is read off its
     binary text, in time linear in its width."""
     if row.bit_length() <= 1024:
         while row:
@@ -320,11 +363,12 @@ def _enumerate(
     d: Diagram, t1: int, s1: SiteRef, t2: int, s2: SiteRef
 ) -> Iterator[PathWitness]:
     """All trajectories from (t1, s1) to (t2, s2), lexicographic by
-    trajectory. Lazy; prunes branches whose closure row misses s2."""
+    trajectory. Lazy; prunes branches that the wire table says cannot
+    reach (t2, s2)."""
     tables = _tables(d)
-    successors, future, evs = tables.successors, tables.future, tables.events
-    i, target = tables.numbers[t1][s1], 1 << tables.numbers[t2][s2]
-    if not future[i] & target:
+    successors, reaches, evs = tables.successors, tables.wires.reaches, tables.events
+    i, target = tables.numbers[t1][s1], tables.numbers[t2][s2]
+    if not reaches(i, target):
         return
 
     # Depth-first with an explicit stack, so a long span is not bounded
@@ -335,7 +379,7 @@ def _enumerate(
     if not stack:
         yield PathWitness(t1, (s1,))
     while stack:
-        b = next((b for b in stack[-1] if future[b] & target), None)
+        b = next((b for b in stack[-1] if reaches(b, target)), None)
         if b is None:
             stack.pop()
             prefix.pop()
@@ -359,8 +403,7 @@ def causally_ordered(d: Diagram, e1: Event, e2: Event) -> bool:
     """Can e1 influence e2? True iff e1.cut <= e2.cut and some
     trajectory connects them. Reflexive by construction; antisymmetric
     because trajectories never move backward in time."""
-    i, j = _number(d, e1), _number(d, e2)
-    return bool(future_rows(d)[i] >> j & 1)
+    return wire_table(d).reaches(_number(d, e1), _number(d, e2))
 
 
 def causal_paths(d: Diagram, e1: Event, e2: Event) -> Iterator[PathWitness]:
@@ -377,12 +420,12 @@ def event_order_pairs(d: Diagram) -> set[tuple[Event, Event]]:
     """The full causal order of a diagram as a set of event pairs.
 
     Agrees pointwise with `causally_ordered`; one pair per set bit of
-    the closure rows (`future_rows`).
+    the rows expanded from the wire table (`Wires.rows`).
     """
     evs = events(d)
     return {
         (evs[i], evs[j])
-        for i, row in enumerate(future_rows(d))
+        for i, row in enumerate(wire_table(d).rows())
         for j in set_bits(row)
     }
 
@@ -430,4 +473,4 @@ def action_order(d: Diagram, r1: TickRef, r2: TickRef) -> bool:
     r2. Irreflexive: no tick precedes itself.
     """
     (_, after), (start, _) = tick_numbers(d, (r1, r2))
-    return bool(future_rows(d)[after] >> start & 1)
+    return wire_table(d).reaches(after, start)

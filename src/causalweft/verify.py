@@ -5,11 +5,10 @@ never lose ground across a diagram (inflationarity), and timestamps
 respect causal order between events (the clock condition). The clock
 condition is checked as it is proved: once per step edge, since a
 chain of edges joins every ordered pair and `leq` is transitive; the
-order laws are certified per step edge too. Only when an edge fails
-is every pair read off the closure rows of `paths`, which also give
-inflationarity its pairs. One loop turns failing pairs into
-violations, each with a concrete trajectory witness, so a failure is
-a checkable object rather than a boolean.
+wire table of `paths`, which counts the pairs and gives inflationarity
+its pairs, is certified per step edge too. Only a failed edge has every
+pair read off rows expanded from the wires, and one loop turns failing
+pairs into violations with a trajectory witness each.
 
 The generators build random well-typed diagrams and random acyclic
 executions from a seed, types first, so no rejection sampling is
@@ -58,13 +57,14 @@ from .diagram import (
 from .paths import (
     Event,
     PathWitness,
+    Wires,
     causal_paths,
     cut_numbers,
     events,
-    future_rows,
     set_bits,
     step_relation,
     step_successors,
+    wire_table,
 )
 
 # ---------------------------------------------------------------------------
@@ -288,19 +288,17 @@ def check_clock_condition(
     """Does every causally ordered event pair carry non-decreasing
     timestamps? The stamps are first checked per step edge
     (`_edges_hold`); if that passes, no pair can fail and the pairs are
-    only counted. Otherwise every pair is read off the closure rows in
-    event order, not found by enumerating trajectories."""
+    only counted, by wires. Otherwise every pair is read off the rows
+    expanded from the wires, not found by enumerating trajectories."""
     if valuation is None:
         valuation = zero_valuation(clock, d.initial)
     stamps = event_stamps(d, lab, clock, valuation)
-    rows = future_rows(d)
-    checked = sum(row.bit_count() for row in rows)
+    wires = wire_table(d)
+    checked = wires.pair_count()
     if _edges_hold(stamps, step_successors(d), clock.leq):
         return ViolationReport("clock-condition", checked, ())
-    pairs = ((i, j) for i, row in enumerate(rows) for j in set_bits(row))
-    return ViolationReport(
-        "clock-condition", checked, _violations(d, stamps, clock.leq, pairs)
-    )
+    pairs = ((i, j) for i, row in enumerate(wires.rows()) for j in set_bits(row))
+    return ViolationReport("clock-condition", checked, _violations(d, stamps, clock.leq, pairs))
 
 
 def check_update_inflationary(
@@ -310,17 +308,15 @@ def check_update_inflationary(
     valuation: Valuation | None = None,
 ) -> ViolationReport:
     """Does pushing a valuation through the diagram only grow it, on
-    every connected (initial site, final site) pair? The rows of the
-    initial events give the pairs, masked to the last cut's numbers."""
+    every connected (initial site, final site) pair? The wire table
+    gives the pairs, one bit test per (initial, final) event pair."""
     if valuation is None:
         valuation = zero_valuation(clock, d.initial)
     stamps = event_stamps(d, lab, clock, valuation)
-    rows, numbers = future_rows(d), cut_numbers(d)
-    last = -1 << (len(rows) - len(numbers[-1]))
-    pairs = [(i, j) for i in range(len(numbers[0])) for j in set_bits(rows[i] & last)]
-    return ViolationReport(
-        "update-inflationary", len(pairs), _violations(d, stamps, clock.leq, pairs)
-    )
+    reaches, numbers = wire_table(d).reaches, cut_numbers(d)
+    pairs = [(i, j) for i in numbers[0].values() for j in numbers[-1].values() if reaches(i, j)]
+    violations = _violations(d, stamps, clock.leq, pairs)
+    return ViolationReport("update-inflationary", len(pairs), violations)
 
 
 def _event_obj(e: Event) -> dict:
@@ -455,7 +451,7 @@ def broken_clock() -> Clock:
 # ---------------------------------------------------------------------------
 # brute-force oracles
 #
-# Independent of the closure rows in `paths`: every event becomes a
+# Independent of the wire table in `paths`: every event becomes a
 # graph node, every step_relation pair an edge, and the order is the
 # reflexive-transitive closure of that graph, by Warshall's algorithm.
 
@@ -529,32 +525,47 @@ class OrderLawReport:
         return not (self.reflexivity or self.antisymmetry or self.transitivity)
 
 
+def _wires_hold(wires: Wires, successors: tuple[tuple[int, ...], ...]) -> bool:
+    """Is the wire table the order of the step edges? Each event is a
+    copy (its one input is on its wire and has no other edge out) or
+    heads a new wire, whose history is its own bit or-ed with its
+    inputs' wire histories. By induction up the numbers, it is exact."""
+    wire, history = wires.wire, wires.history
+    into, heads = [0] * len(wire), set()  # per event: its inputs' histories, -1 for a copy
+    for i, nexts in enumerate(successors):
+        w, past = wire[i], into[i]
+        if past >= 0:
+            if history[w] != past | 1 << w or w in heads:
+                return False
+            heads.add(w)
+        for j in nexts:
+            if wire[j] == w:
+                if len(nexts) > 1 or into[j]:
+                    return False
+                into[j] = -1
+            elif into[j] < 0:
+                return False
+            else:
+                into[j] |= history[w]
+    return True
+
+
 def check_order_laws(d: Diagram) -> OrderLawReport:
     """Verify that causal order is a partial order on the events of the
-    diagram. A row must hold its own event (reflexivity), no other
-    event it holds may hold it back (antisymmetry), and the row of
-    every event it holds must be a subset of it (transitivity). Rows
-    that are each their own bit or-ed with the rows of their one-step
-    successors, checked once per step edge, satisfy all three, and
-    only their pairs are counted: by induction from the last cut back,
-    such a row holds its own event, otherwise only events at later
-    cuts, and the row of every event it holds. Otherwise every pair is
-    visited, rows in event order, so every failure list comes out
-    sorted."""
-    rows = future_rows(d)
-    pairs = sum(row.bit_count() for row in rows)
-    for i, nexts in enumerate(step_successors(d)):
-        row = 1 << i
-        for j in nexts:
-            row |= rows[j]
-        if row != rows[i]:
-            break
-    else:
-        return OrderLawReport(len(rows), pairs, (), (), ())
+    diagram. Read as rows, a row must hold its own event (reflexivity),
+    no other event it holds may hold it back (antisymmetry), and the row
+    of every event it holds must be a subset of it (transitivity). The
+    order of the step edges satisfies all three, so a wire table that
+    `_wires_hold` certifies has only its pairs counted. Otherwise every
+    pair of the expanded rows is visited in event order, so failure
+    lists come out sorted."""
+    wires = wire_table(d)
+    if _wires_hold(wires, step_successors(d)):
+        return OrderLawReport(len(wires.wire), wires.pair_count(), (), (), ())
+    rows = wires.rows()
     evs = events(d)
     reflexivity = tuple(e for i, e in enumerate(evs) if not rows[i] >> i & 1)
-    antisymmetry = []
-    transitivity = []
+    antisymmetry, transitivity = [], []
     for i, row in enumerate(rows):
         outside = ~row
         for j in set_bits(row):
@@ -562,9 +573,8 @@ def check_order_laws(d: Diagram) -> OrderLawReport:
                 antisymmetry.append((evs[i], evs[j]))
             for k in set_bits(rows[j] & outside):
                 transitivity.append((evs[i], evs[j], evs[k]))
-    return OrderLawReport(
-        len(evs), pairs, reflexivity, tuple(antisymmetry), tuple(transitivity)
-    )
+    pairs = sum(row.bit_count() for row in rows)
+    return OrderLawReport(len(evs), pairs, reflexivity, tuple(antisymmetry), tuple(transitivity))
 
 
 def order_report_to_obj(report: OrderLawReport) -> dict:

@@ -1,13 +1,14 @@
-"""The clock condition is tested per step edge and the order rows are
-certified per step edge, each row against the rows of its one-step
-successors; when that passes, the checkers only count pairs. These
-tests hold them to exhaustive pair loops kept here, on the corpus and
-on planted faults in the closure rows."""
+"""The clock condition is tested per step edge and the wire table is
+certified per step edge; when that passes, the checkers only count
+pairs, by wires. These tests hold them to exhaustive pair loops kept
+here, over the rows the wire table expands to, on the corpus and on
+planted faults in the wire table."""
 
 import random
 from dataclasses import replace
 
 from causalweft import paths
+from causalweft.cli import main
 from causalweft.clocks import (
     CLOCK_NAMES,
     Clock,
@@ -18,27 +19,31 @@ from causalweft.clocks import (
     zero_valuation,
 )
 from causalweft.diagram import Atom, Diagram, Leaf, Tensor, noop, sites
+from causalweft.lamport import derived_order, gen_execution, hb_closure, to_diagram
 from causalweft.paths import (
     Event,
+    Wires,
     causal_paths,
     events,
-    future_rows,
     set_bits,
     span_enumerate,
     span_reachable,
     step_relation,
     step_successors,
+    wire_table,
 )
 from causalweft.verify import (
     GenParams,
     OrderLawReport,
     Violation,
     ViolationReport,
+    _wires_hold,
     broken_clock,
     check_clock_condition,
     check_order_laws,
     check_update_inflationary,
     gen_diagram,
+    oracle_event_order,
     random_valuation,
     report_to_obj,
 )
@@ -53,7 +58,7 @@ def reference_clock_condition(d, lab, clock, valuation):
     stamps = timestamp_all(d, lab, clock, valuation)
     evs = events(d)
     checked, violations = 0, []
-    for i, row in enumerate(future_rows(d)):
+    for i, row in enumerate(wire_table(d).rows()):
         checked += row.bit_count()
         for j in set_bits(row):
             s, t = stamps[evs[i]], stamps[evs[j]]
@@ -82,7 +87,7 @@ def reference_inflationary(d, lab, clock, valuation):
 
 
 def reference_order_laws(d):
-    evs, rows = events(d), future_rows(d)
+    evs, rows = events(d), wire_table(d).rows()
     reflexivity = tuple(e for i, e in enumerate(evs) if not rows[i] >> i & 1)
     antisymmetry, transitivity = [], []
     for i, row in enumerate(rows):
@@ -166,17 +171,23 @@ def test_the_clock_condition_calls_leq_once_per_stamp_and_edge():
     assert len(calls) <= len(events(d)) + edges < report.checked_pairs
 
 
-def test_check_order_sweeps_the_closure_once(monkeypatch):
-    sweeps, closure = [], paths._closure
+def test_one_wire_sweep_per_check_order_and_check_clock(tmp_path, monkeypatch, capsys):
+    sweeps, sweep = [], paths._sweep_wires
 
-    def counted(successors):
+    def counted(successors, ticks):
         sweeps.append(len(successors))
-        return closure(successors)
+        return sweep(successors, ticks)
 
-    monkeypatch.setattr(paths, "_closure", counted)
-    d, _ = gen_diagram(GenParams(seed=3, max_steps=64, max_sites=16))
-    assert check_order_laws(d).ok
-    assert sweeps == [len(events(d))]
+    monkeypatch.setattr(paths, "_sweep_wires", counted)
+    doc = str(tmp_path / "d.json")
+    argv = ["--seed", "3", "--max-steps", "64", "--max-sites", "16", "--out", doc]
+    assert main(["gen", *argv]) == 0
+    n = len(events(gen_diagram(GenParams(seed=3, max_steps=64, max_sites=16))[0]))
+    for command in (["check-order", doc], ["check-clock", doc, "--clock", "vector"]):
+        sweeps.clear()
+        assert main(command) == 0
+        assert sweeps == [n], command
+    assert "order laws hold" in capsys.readouterr().out
 
 
 def test_inflationarity_calls_leq_once_per_connected_pair(small_corpus):
@@ -221,61 +232,123 @@ def test_leq_is_still_called_on_each_stamp_against_itself():
 
 
 # ---------------------------------------------------------------------------
-# planted faults in the closure rows
+# the pair count
 
 
-def with_rows(d, change):
-    """A fresh instance of `d` whose closure rows are those of `d` with
-    `change` applied: a dict from row number to new row."""
+def past_sweep_pairs(d):
+    """The ordered event pairs, counted by one pass over the cuts that
+    keeps each site's causal past as a bitmask over events."""
+    past = {s: 1 << k for k, s in enumerate(sites(d.initial))}
+    n = pairs = len(past)
+    for step in d.steps:
+        nxt = {}
+        for a, b in step_relation(step):
+            nxt[b] = nxt.get(b, 0) | past[a]
+        for b in nxt:
+            nxt[b] |= 1 << n
+            n += 1
+            pairs += nxt[b].bit_count()
+        past = nxt
+    return pairs
+
+
+def test_the_pair_count_is_exact(corpus):
+    for d, _ in corpus:
+        assert wire_table(d).pair_count() == len(oracle_event_order(d))
+
+    x = gen_execution(5, 8, 800)
+    d, _, tick_index = to_diagram(x)
+    wires = wire_table(d)
+    assert len(wires.history) == 1535 and len(wires.wire) == 47064
+    lengths = [0] * len(wires.history)
+    for w in wires.wire:
+        lengths[w] += 1
+    # the naive sum reads each history bit by bit, past 1024 bits wide
+    naive = sum(
+        n * (n + 1) // 2 + n * sum(lengths[u] for u in set_bits(past) if u != w)
+        for w, (n, past) in enumerate(zip(lengths, wires.history))
+    )
+    assert wires.pair_count() == naive == past_sweep_pairs(d)
+    assert derived_order(d, tick_index) == hb_closure(x)
+
+
+# ---------------------------------------------------------------------------
+# planted faults in the wire table
+
+
+def with_wires(d, wire=(), history=()):
+    """A fresh instance of `d` whose wire table is that of `d` with the
+    (event number, wire) items of `wire` and the (wire, history) items
+    of `history` written over it."""
     fresh = Diagram(d.initial, d.steps)
-    rows = list(future_rows(fresh))
-    for i, row in change.items():
-        rows[i] = row
-    fresh.__dict__["_paths_tables"].__dict__["future"] = tuple(rows)
+    table = wire_table(fresh)
+    wires, histories = list(table.wire), list(table.history)
+    for i, w in wire:
+        wires[i] = w
+    for w, past in history:
+        histories[w] = past
+    planted = Wires(tuple(wires), tuple(histories))
+    fresh.__dict__["_paths_tables"].__dict__["wires"] = planted
     return fresh
 
 
 def test_planted_faults_give_the_pair_loop_report(corpus):
-    planted = 0
+    planted = dict.fromkeys(("own bit", "far bit", "near bit", "extra bit", "moved"), 0)
     for d, _ in corpus[:300]:
-        evs, rows = events(d), future_rows(d)
-        cut = [e.cut for e in evs]
-        last = [k for k, t in enumerate(cut) if t == d.n_steps]
-        # pairs at least two steps apart: clearing one leaves a gap
-        far = [
-            (i, j) for i, row in enumerate(rows) for j in set_bits(row)
-            if cut[j] >= cut[i] + 2
-        ]
-        if not far:
-            continue
-        i, j = far[len(far) // 2]
-        cleared = with_rows(d, {i: rows[i] & ~(1 << j)})
-        report = check_order_laws(cleared)
-        assert report == reference_order_laws(cleared)
-        assert report.transitivity and not report.antisymmetry
+        table = wire_table(d)
+        rows, successors = table.rows(), step_successors(d)
+        wire, history = table.wire, table.history
 
-        backward = with_rows(d, {j: rows[j] | 1 << i})
-        report = check_order_laws(backward)
-        assert report == reference_order_laws(backward)
-        assert (evs[i], evs[j]) in report.antisymmetry
+        def plant(kind, **change):
+            """The report on `d` with `change` planted, or None when the
+            planted table still expands to the true rows."""
+            fresh = with_wires(d, **change)
+            got = wire_table(fresh)
+            if got.rows() == rows:
+                return None
+            assert not _wires_hold(got, successors), kind
+            report = check_order_laws(fresh)
+            assert report == reference_order_laws(fresh), kind
+            planted[kind] += 1
+            return report
 
-        both = with_rows(d, {i: rows[i] & ~(1 << j), j: rows[j] | 1 << i})
-        assert check_order_laws(both) == reference_order_laws(both)
+        # a wire that does not reach its own head
+        w = wire[-1]
+        report = plant("own bit", history=[(w, history[w] & ~(1 << w))])
+        assert report.reflexivity
 
-        # a last-cut row holding back an event that holds it
-        k = next(k for k in last if rows[i] >> k & 1)
-        looped = with_rows(d, {k: rows[k] | 1 << i})
-        report = check_order_laws(looped)
-        assert report == reference_order_laws(looped)
-        assert (evs[i], evs[k]) in report.antisymmetry
+        # a wire cleared from a history, though a wire between them is
+        # kept: transitivity fails
+        for w, past in enumerate(history):
+            between = [
+                u for v in set_bits(past) if v != w
+                for u in set_bits(history[v]) if u != v
+            ]
+            if between:
+                u = between[len(between) // 2]
+                report = plant("far bit", history=[(w, past & ~(1 << u))])
+                assert report.transitivity and not report.reflexivity
+                break
 
-        # an extra pair from a source event to a last-cut event breaks
-        # the recurrence but not the laws: the pair loop says so
-        spare = [k for k in last if not rows[0] >> k & 1]
+        # the last other wire cleared from a history
+        for w, past in enumerate(history):
+            near = [u for u in set_bits(past) if u != w]
+            if near:
+                plant("near bit", history=[(w, past & ~(1 << near[-1]))])
+                break
+
+        # an initial wire set into the history of the last event's wire:
+        # the certificate fails but not the laws, and the pair loop says so
+        w = wire[-1]
+        spare = [wire[i] for i in range(len(sites(d.initial)))]
+        spare = [u for u in spare if not history[w] >> u & 1]
         if spare:
-            extra = with_rows(d, {0: rows[0] | 1 << spare[0]})
-            report = check_order_laws(extra)
-            assert report == reference_order_laws(extra)
-            assert report.ok and report.pairs == sum(r.bit_count() for r in rows) + 1
-        planted += 1
-    assert planted > 100
+            report = plant("extra bit", history=[(w, history[w] | 1 << spare[0])])
+            assert report.ok and report.pairs > table.pair_count()
+
+        # an event moved onto another wire
+        for i in range(len(wire) - 1, -1, -1):
+            others = [u for u in range(len(history)) if u != wire[i]]
+            if others and plant("moved", wire=[(i, others[len(others) // 2])]):
+                break
+    assert min(planted.values()) > 100, planted
