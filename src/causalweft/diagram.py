@@ -50,6 +50,36 @@ T = TypeVar("T")
 _setfield = object.__setattr__
 
 
+# ---------------------------------------------------------------------------
+# binary trees (product types, configurations, parallel steps): the
+# leaves' L/R paths, left to right, fix a tree, so the printers and
+# `serialize` write it from those.
+
+def _leaves(root: object, inner: type) -> list[tuple[str, object]]:
+    """The leaves below the nodes of class `inner` (exactly), left to
+    right, each with its L/R path: one walk with an explicit stack, so
+    depth is not bounded by the recursion limit."""
+    out, stack = [], [(root, "")]
+    while stack:
+        node, path = stack.pop()
+        if type(node) is inner:
+            stack.append((node.right, path + "R"))
+            stack.append((node.left, path + "L"))
+        else:
+            out.append((path, node))
+    return out
+
+
+def _join(leaves: Iterable[tuple[str, str]], head: str, sep: str, tail: str) -> str:
+    """The text of a tree, each node `head` + left + `sep` + right + `tail`,
+    from its leaves' (path, text) list: a leaf opens the node per trailing
+    L of its path that it is leftmost in, and closes one per trailing R."""
+    return sep.join([
+        head * (len(p) - len(p.rstrip("L"))) + text + tail * (len(p) - len(p.rstrip("R")))
+        for p, text in leaves
+    ])
+
+
 @dataclass(frozen=True)
 class Atom:
     """An opaque named state type."""
@@ -77,7 +107,7 @@ class Prod:
         _setfield(self, "right", right)
 
     def __str__(self) -> str:
-        return f"({self.left} x {self.right})"
+        return _join([(p, str(a)) for p, a in _leaves(self, Prod)], "(", " x ", ")")
 
 
 StateType = Atom | Prod
@@ -125,16 +155,7 @@ class Tensor:
         return hash(tuple(site_types(self).items()))
 
     def __str__(self) -> str:
-        # explicit stack: left-nested tensors outgrow the recursion limit
-        out, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Tensor):
-                out.append("(")
-                stack += (")", node.right, " * ", node.left)
-            else:
-                out.append(str(node))
-        return "".join(out)
+        return _join([(p, str(s)) for p, s in _leaves(self, Tensor)], "(", " * ", ")")
 
 
 Config = Leaf | Tensor

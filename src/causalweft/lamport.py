@@ -26,9 +26,10 @@ place in the left-nested layout (group i of n sits at L^(n-1-i), then
 R if i > 0) and its place inside the group, so no configuration is
 built to look sites up; these part paths come from one table per
 call. The perm is built only on layers whose group sequence changed,
-and checked against the two slot maps; an unchanged sequence is the
-identity route. Each step is emitted as its (path, atom) list, the
-route perm at "" and group i's atom at its part path, and the diagram
+from one slot map of the new layout, which each slot of the old one
+is popped from in site order; an unchanged sequence is the identity
+route. Each step is emitted as its (path, atom) list, the route perm
+at "" and group i's atom at its part path, and the diagram
 keeps these lists (`diagram._keep_atoms`), so the paths table and
 `ticks` read them instead of walking the steps. Every step is built
 from the layout it acts on, so the diagram also keeps an empty fault
@@ -193,35 +194,31 @@ class _PartPaths(dict[int, tuple[SiteRef, ...]]):
         return row
 
 
-def _slot_sites(
-    groups: list[_Group], parts: _PartPaths
-) -> dict[_Slot, tuple[SiteRef, StateType]]:
-    """The site and type of each slot of a layout, in site order: its
-    group's place in the left-nested layout, then its own place in the
-    group's configuration."""
-    return {
-        slot: (at + inner, ty)
-        for at, g in zip(parts[len(groups)], groups)
-        for inner, (slot, ty) in zip(parts[len(g)], g)
-    }
-
-
 def _route(old: list[_Group], new: list[_Group], parts: _PartPaths) -> Perm:
     """The perm moving each slot from its site in layout `old` to its site
     in `new`, which must hold the same slots, once each, of the same
-    types. The old map lists sites in order, so the pairs come sorted."""
-    old_at, at = _slot_sites(old, parts), _slot_sites(new, parts)
-    if old_at.keys() != at.keys() or not len(at) == sum(map(len, old)) == sum(map(len, new)):
+    types. A slot's site is its group's place in the left-nested layout,
+    then its own in the group. Each slot of `old`, in site order, is
+    popped from one map of `new`'s, so the pairs come sorted."""
+    at = {
+        slot: (site + inner, ty)
+        for site, g in zip(parts[len(new)], new)
+        for inner, (slot, ty) in zip(parts[len(g)], g)
+    }
+    pairs, changed, n = [], None, len(at)
+    for site, g in zip(parts[len(old)], old):
+        for inner, (slot, ty) in zip(parts[len(g)], g):
+            target, new_ty = at.pop(slot, (None, ty))
+            # one object per message type: mostly `is`
+            if changed is None and new_ty is not ty and new_ty != ty:
+                changed = f"bad permutation: slot {slot!r}:{ty} changes type"
+            pairs.append((site + inner, target))
+    # every slot found once empties the map; n parts means no repeat in `new`
+    if at or not len(pairs) == n == sum(map(len, new)):
         raise ValueError("bad permutation: the layouts do not hold the same slots once each")
-    for slot, (_, ty) in old_at.items():
-        new_ty = at[slot][1]  # one object per message type: mostly `is`
-        if new_ty is not ty and new_ty != ty:
-            raise ValueError(f"bad permutation: slot {slot!r}:{ty} changes type")
-    return Perm(
-        tensor([g.config for g in old]),
-        tensor([g.config for g in new]),
-        tuple((site, at[slot][0]) for slot, (site, _) in old_at.items()),
-    )
+    if changed:
+        raise ValueError(changed)
+    return Perm(tensor([g.config for g in old]), tensor([g.config for g in new]), tuple(pairs))
 
 
 def _step(
@@ -349,7 +346,7 @@ def to_diagram(
     initial = tensor([g.config for g in home])
     d = Diagram(initial, tuple(par([atom for _, atom in atoms]) for atoms in kept))
     # every step acts on the layout it was built from, and every route
-    # was checked against both slot maps: the diagram has no faults
+    # was checked against the new layout's slot map: the diagram has no faults
     _keep_faults(d, [])
     _keep_atoms(d, kept)
     return d, lab, tick_index

@@ -58,11 +58,13 @@ RecursionError. The reader reads the left spine of each `tensor` and
 types, so a JSON value whose configurations and steps nest to the
 left, as `tensor` and `par` build them, reads at any width
 (`diagram_from_obj`). A perm's target is rebuilt from its flat table
-with an explicit stack, so it may nest deeper still. Writing uses
-explicit stacks and refuses, with the same SchemaError, a document
-nested more than the recursion limit less 100 levels (900 by default,
-a left-nested tensor of 449 sites), the room left for the frames the
-`json` parse runs under, so it writes no text the reader cannot read.
+with an explicit stack, so it may nest deeper still. The writer
+writes each configuration, step and product type from its leaves'
+L/R paths (`diagram._join`), which nest it two levels per letter, and
+refuses, with the same SchemaError, a document nested more than the
+recursion limit less 100 levels (900 by default: a comb-shaped tensor
+of 449 sites), the room left for the frames the `json` parse runs
+under, so it writes no text the reader cannot read.
 """
 
 from __future__ import annotations
@@ -93,10 +95,13 @@ from .diagram import (
     Tensor,
     Tick,
     TickRef,
+    _join,
     _keep_atoms,
     _keep_faults,
+    _leaves,
     check_boundary,
     site_types,
+    step_atom_lists,
 )
 from .paths import PathWitness
 
@@ -320,11 +325,11 @@ class _Reader:
         of its source, its values are injective and its target is
         rebuilt.
 
-        A par's left spine is read in one loop, as `_Writer.text` writes
-        it: down the spine, checking each node and splitting its
-        context, then the leftmost part, then the right halves
-        bottom-up, each building its `Par` and output on the way up, so
-        faults, atoms and errors come in tree order. On the way up, an
+        A par's left spine is read in one loop: down the spine, checking
+        each node and splitting its context, then the leftmost part,
+        then the right halves bottom-up, building each `Par` and output
+        on the way up, so faults, atoms (whose paths `_Writer` writes
+        the step from) and errors come in tree order. On the way up, an
         idle hold on a context already read is one lookup in `perms`, and
         a par whose halves return their own contexts returns its own."""
         if not isinstance(obj, dict) or len(obj) != 1:
@@ -504,8 +509,8 @@ def diagram_to_json(d: Diagram, lab: Mapping[TickRef, Any] | None = None) -> str
     Raises SchemaError for a document nested deeper than the reader
     takes (`_Writer`)."""
     w = _Writer()
-    initial = w.text(d.initial, w.room - 1)
-    steps = ",".join([w.text(step, w.room - 2) for step in d.steps])
+    initial = w.tree(_leaves(d.initial, Tensor), '{"tensor":[', 1, w.term)[0]
+    steps = ",".join([w.tree(atoms, '{"par":[', 2, w.term)[0] for atoms in step_atom_lists(d)])
     labels = ",".join([w.label(r, v) for r, v in sorted((lab or {}).items())])
     return '{"initial":' + initial + ',"labels":[' + labels + '],"steps":[' + steps + "]}"
 
@@ -513,13 +518,15 @@ def diagram_to_json(d: Diagram, lab: Mapping[TickRef, Any] | None = None) -> str
 class _Writer:
     """One call's canonical text, freed with it: what `json.dumps` with
     sorted keys and no whitespace makes of the document's JSON value,
-    written straight from the diagram with explicit stacks.
+    written straight from the diagram.
 
     Types, leaves and atomic steps are written once each and kept by id
     with their nesting depth: the diagram keeps every node alive for
-    the call, and most of them are shared (idle holds, atoms). Tensors
-    and parallel steps, which `tensor` and `par` nest to the left, are
-    written as they are met, down each left spine at once.
+    the call, and most of them are shared (idle holds, atoms). Trees
+    (configurations, steps, products) are written from their leaves'
+    paths by `diagram._join`, a step's from its atom list, the others'
+    from one walk; a tree nests two levels per letter of a leaf's path
+    plus that leaf's own depth.
 
     A document is refused with the reader's SchemaError when it nests
     more than `room` JSON levels: the reader's `json` parse recurses
@@ -532,96 +539,55 @@ class _Writer:
         self.terms: dict[int, tuple[str, int]] = {}
         self.room = sys.getrecursionlimit() - 100
 
-    def text(self, root: Config | GlobalStep, room: int) -> str:
-        """The text of a configuration or step that may nest `room` levels."""
-        terms, out, deepest = self.terms, [], 0
-        todo: list[Any] = [(root, 0)]  # texts, and (node, levels above it)
-        while todo:
-            item = todo.pop()
-            if type(item) is str:
-                out.append(item)
-                continue
-            node, above = item
-            cls = type(node)
-            if cls is Par or cls is Tensor:
-                # the k nodes of the left spine open together; each closes
-                # after its right part
-                k = 0
-                while type(node) is cls:
-                    k += 1
-                    right = node.right
-                    if type(right) is cls:
-                        todo += ("]}", (right, above + 2 * k), ",")
-                    else:
-                        text, depth = terms.get(id(right)) or self.term(right)
-                        deepest = max(deepest, above + 2 * k + depth)
-                        todo.append("," + text + "]}")
-                    node = node.left
-                if above + 2 * k > room:
-                    raise SchemaError("document nests too deeply")
-                out.append(('{"par":[' if cls is Par else '{"tensor":[') * k)
-                todo.append((node, above + 2 * k))
-            else:
-                text, depth = terms.get(id(node)) or self.term(node)
-                deepest = max(deepest, above + depth)
-                out.append(text)
-        if deepest > room:
+    def tree(self, leaves: list, head: str, above: int, write: Callable) -> tuple[str, int]:
+        """The text and nesting depth of a tree of `head` nodes, nested
+        `above` levels down, from its (path, leaf) list; `write` writes a
+        leaf not yet kept."""
+        terms, texts, deepest = self.terms, [], 0
+        for path, node in leaves:
+            text, depth = terms.get(id(node)) or write(node)
+            deepest = max(deepest, 2 * len(path) + depth)
+            texts.append((path, text))
+        if above + deepest > self.room:
             raise SchemaError("document nests too deeply")
-        return "".join(out)
+        return _join(texts, head, ",", "]}"), deepest
 
-    def term(self, root: StateType | Leaf | AtomicStep) -> tuple[str, int]:
-        """The text and nesting depth of a type, a leaf or an atomic
-        step; each node's children are written before it."""
-        terms = self.terms
-        todo = [root]
-        while todo:
-            node = todo[-1]
-            if id(node) in terms:
-                todo.pop()
-                continue
-            cls = type(node)
-            if cls is Atom:
-                terms[id(node)] = '{"atom":' + _string(node.name) + "}", 1
-            elif cls is PermStep:
-                # as `dict(perm.pairs)` with sorted keys: the last pair wins
-                table = sorted(dict(node.perm.pairs).items())
-                entries = ",".join([_string(s) + ":" + _string(t) for s, t in table])
-                terms[id(node)] = '{"perm":{"table":{' + entries + "}}}", 3
-            elif cls is Leaf:
-                ty = terms.get(id(node.ty))
-                if ty is None:
-                    todo.append(node.ty)
-                    continue
-                terms[id(node)] = '{"leaf":' + ty[0] + "}", ty[1] + 1
+    def type(self, ty: StateType) -> tuple[str, int]:
+        """The text and nesting depth of a type, kept: an atom, or a product from its atoms."""
+        made = self.terms.get(id(ty))
+        if made is None:
+            if type(ty) is Atom:
+                made = '{"atom":' + _string(ty.name) + "}", 1
+            elif type(ty) is Prod:
+                made = self.tree(_leaves(ty, Prod), '{"prod":[', 0, self.type)
             else:
-                # a binary node: its two parts and the text around them
-                if cls is Prod:
-                    a, b = node.left, node.right
-                    head, mid, tail = '{"prod":[', ",", "]}"
-                elif cls is Tick:
-                    a, b = node.in_ty, node.out_ty
-                    head, mid, tail = '{"tick":{"in":', ',"out":', "}}"
-                elif cls is Fork:
-                    a, b = node.left_ty, node.right_ty
-                    head, mid, tail = '{"fork":{"l":', ',"r":', "}}"
-                elif cls is Join:
-                    a, b = node.left_ty, node.right_ty
-                    head, mid, tail = '{"join":{"l":', ',"r":', "}}"
-                else:
-                    raise TypeError(f"not a type, configuration or step: {node!r}")
-                left, right = terms.get(id(a)), terms.get(id(b))
-                if left is None or right is None:
-                    if right is None:
-                        todo.append(b)
-                    if left is None:
-                        todo.append(a)
-                    continue
-                depth = max(left[1], right[1]) + 2
-                if depth > self.room:
-                    raise SchemaError("document nests too deeply")
-                terms[id(node)] = head + left[0] + mid + right[0] + tail, depth
-            todo.pop()
-        return terms[id(root)]
+                raise TypeError(f"not a type: {ty!r}")
+            self.terms[id(ty)] = made
+        return made
+
+    def term(self, node: Leaf | AtomicStep) -> tuple[str, int]:
+        """The text and nesting depth of a leaf or an atomic step, kept."""
+        cls = type(node)
+        if cls is PermStep:
+            # as `dict(perm.pairs)` with sorted keys: the last pair wins
+            table = sorted(dict(node.perm.pairs).items())
+            entries = ",".join([_string(s) + ":" + _string(t) for s, t in table])
+            made = '{"perm":{"table":{' + entries + "}}}", 3
+        elif cls is Leaf:
+            ty, depth = self.type(node.ty)
+            made = '{"leaf":' + ty + "}", depth + 1
+        else:
+            if cls is Tick:
+                (a, da), (b, db) = self.type(node.in_ty), self.type(node.out_ty)
+                text = '{"tick":{"in":' + a + ',"out":' + b
+            elif cls is Fork or cls is Join:
+                (a, da), (b, db) = self.type(node.left_ty), self.type(node.right_ty)
+                text = ('{"fork"' if cls is Fork else '{"join"') + ':{"l":' + a + ',"r":' + b
+            else:
+                raise TypeError(f"not a configuration or step: {node!r}")
+            made = text + "}}", max(da, db) + 2
+        self.terms[id(node)] = made
+        return made
 
     def label(self, ref: TickRef, value: Any) -> str:
         """The text of one label entry, nested three levels down."""

@@ -132,6 +132,41 @@ def test_deep_configurations_print():
     assert str(cfg) == "(" * 2999 + "[A]" + " * [A])" * 2998 + " * [B])"
 
 
+def test_deep_product_types_print():
+    # 3,000 products deep, nested down the left and down the right
+    left = right = B
+    for _ in range(3000):
+        left, right = Prod(left, A), Prod(A, right)
+    assert str(left) == "(" * 3000 + "B" + " x A)" * 3000
+    assert str(right) == "(A x " * 3000 + "B" + ")" * 3000
+    assert str(Leaf(left)) == "[" + str(left) + "]"
+    assert str(Leaf(right)) == "[" + str(right) + "]"
+
+
+def reference_str(term) -> str:
+    """A type or configuration printed by recursion, as the printers
+    print it."""
+    if isinstance(term, Atom):
+        return term.name
+    if isinstance(term, Prod):
+        return f"({reference_str(term.left)} x {reference_str(term.right)})"
+    if isinstance(term, Leaf):
+        return f"[{reference_str(term.ty)}]"
+    return f"({reference_str(term.left)} * {reference_str(term.right)})"
+
+
+def test_the_printers_match_a_recursive_printer(corpus):
+    configs = types = 0
+    for d, _ in corpus:
+        for config in cut_configs(d):
+            assert str(config) == reference_str(config)
+            for ty in site_types(config).values():
+                assert str(ty) == reference_str(ty)
+                types += isinstance(ty, Prod)
+            configs += isinstance(config, Tensor)
+    assert configs > 3000 and types > 3000
+
+
 def test_tensor_builder():
     assert tensor([Leaf(A)]) == Leaf(A)
     assert tensor([Leaf(A), Leaf(B), Leaf(C)]) == Tensor(

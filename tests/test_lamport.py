@@ -284,6 +284,17 @@ def test_a_bad_route_is_refused():
         _route(old, [_Group([p, m]), _Group([m])], parts)
     with pytest.raises(ValueError, match="^bad permutation: slot"):
         _route(old, [_Group([m, (p[0], B)])], parts)
+    # with two faults, a missing or repeated slot is named before a
+    # changed type
+    layouts = "^bad permutation: the layouts do not hold the same slots once each$"
+    with pytest.raises(ValueError, match=layouts):
+        _route(old, [_Group([(p[0], B)])], parts)
+    with pytest.raises(ValueError, match=layouts):
+        _route(old, [_Group([(m[0], B), p]), _Group([m])], parts)
+    with pytest.raises(ValueError, match=layouts):
+        _route(old, [_Group([p]), _Group([m]), _Group([m])], parts)
+    with pytest.raises(ValueError, match=layouts):
+        _route([_Group([p]), _Group([p])], [_Group([p, m])], parts)
     route = _route(old, [_Group([m, p])], parts)
     assert route.pairs == (("L", "R"), ("R", "L")) and route.faults() == []
 

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import sys
 import weakref
 from dataclasses import fields, is_dataclass
 
@@ -199,6 +201,81 @@ def test_the_widest_tensor_the_writer_takes_loads_back():
         deep = [deep]
     with pytest.raises(SchemaError, match="^document nests too deeply$"):
         diagram_to_json(Diagram(Leaf(A), (Tick(A, A),)), {TickRef(0, ""): deep})
+
+
+def json_nesting(text: str) -> int:
+    """How deep objects and lists nest in a JSON text, counted on the
+    text with its strings taken out."""
+    depth = deepest = 0
+    for c in re.sub(r'"(?:[^"\\]|\\.)*"', "", text):
+        if c in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif c in "]}":
+            depth -= 1
+    return deepest
+
+
+def right_nested(parts, cls):
+    node = parts[-1]
+    for part in reversed(parts[:-1]):
+        node = cls(part, node)
+    return node
+
+
+def balanced(parts):
+    half = len(parts) // 2
+    return parts[0] if half == 0 else Tensor(balanced(parts[:half]), balanced(parts[half:]))
+
+
+# shape -> (the diagram of size n, the recursion limit to write it under;
+# a balanced tensor within the default limit would not fit in memory)
+SHAPES = {
+    "right-nested tensor": (lambda n: Diagram(right_nested([Leaf(A)] * n, Tensor)), None),
+    "balanced tensor": (lambda n: Diagram(balanced([Leaf(A)] * n)), 120),
+    "right-nested par of ticks": (
+        lambda n: Diagram(
+            right_nested([Leaf(A)] * n, Tensor), (right_nested([Tick(A, A)] * n, Par),)
+        ),
+        None,
+    ),
+    "product type nested to the right": (
+        lambda n: Diagram(Leaf(right_nested([A] * n, Prod))), None
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_the_writer_takes_every_tree_shape_to_the_same_depth(shape):
+    build, limit = SHAPES[shape]
+    saved = sys.getrecursionlimit()
+    room = (limit or saved) - 100
+
+    def write(n):
+        sys.setrecursionlimit(limit or saved)
+        try:
+            return diagram_to_json(build(n))
+        finally:
+            sys.setrecursionlimit(saved)
+
+    lo, hi = 2, 3000  # write(lo) succeeds, write(hi) is refused
+    with pytest.raises(SchemaError, match="^document nests too deeply$"):
+        write(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            write(mid)
+            lo = mid
+        except SchemaError:
+            hi = mid
+    text = write(lo)
+    # every shape nests two levels per node, so the largest text the
+    # writer takes is one level short of the room at most
+    assert room - 2 < json_nesting(text) <= room
+    d, _ = diagram_from_json(text)
+    assert diagram_to_json(d) == text
+    with pytest.raises(SchemaError, match="^document nests too deeply$"):
+        write(lo + 1)
 
 
 def test_canonical_json_is_key_sorted():
