@@ -35,7 +35,8 @@ T = TypeVar("T")
 # A compiled execution builds terms by the hundred, so each term class
 # has its own __init__: the one `dataclass(frozen=True)` generates looks
 # up object.__setattr__ anew per field. `dataclass` keeps a class-defined
-# __init__ and still generates eq, hash, repr and order, and assigning or
+# __init__ and still generates eq, hash, repr and order (the tree classes
+# write their repr from their leaves: `_tree_repr`), and assigning or
 # deleting a field still raises FrozenInstanceError. Configurations,
 # perms and parallel steps fill the instance __dict__ in one statement,
 # the cheapest way: the first two keep derived tables there anyway, and
@@ -80,6 +81,13 @@ def _join(leaves: Iterable[tuple[str, str]], head: str, sep: str, tail: str) -> 
     ])
 
 
+def _tree_repr(node: object) -> str:
+    """The dataclass repr of a tree node, from its leaves: no recursion per level."""
+    cls = type(node)
+    leaves = [(p, repr(leaf)) for p, leaf in _leaves(node, cls)]
+    return _join(leaves, cls.__qualname__ + "(left=", ", right=", ")")
+
+
 @dataclass(frozen=True)
 class Atom:
     """An opaque named state type."""
@@ -105,6 +113,8 @@ class Prod:
     def __init__(self, left: "StateType", right: "StateType") -> None:
         _setfield(self, "left", left)
         _setfield(self, "right", right)
+
+    __repr__ = _tree_repr
 
     def __str__(self) -> str:
         return _join([(p, str(a)) for p, a in _leaves(self, Prod)], "(", " x ", ")")
@@ -153,6 +163,8 @@ class Tensor:
 
     def __hash__(self) -> int:
         return hash(tuple(site_types(self).items()))
+
+    __repr__ = _tree_repr
 
     def __str__(self) -> str:
         return _join([(p, str(s)) for p, s in _leaves(self, Tensor)], "(", " * ", ")")
@@ -403,6 +415,8 @@ class Par:
     def __hash__(self) -> int:
         return hash(tuple(step_atoms(self)))
 
+    __repr__ = _tree_repr
+
 
 GlobalStep = Tick | Fork | Join | PermStep | Par
 AtomicStep = Tick | Fork | Join | PermStep
@@ -415,7 +429,8 @@ def noop(config: Config) -> PermStep:
 
 # `validate` of a diagram built in code and `step_input`/`step_output`
 # call these on every atom. They dispatch on exact classes, as the paths
-# tables and the writer do, so all of them refuse a subclass alike.
+# tables, the writer and the walks of atoms and ticks do, so all of them
+# refuse a subclass alike.
 def _atom_input(atom: AtomicStep) -> Config:
     kind = type(atom)
     if kind is Tick:
@@ -476,10 +491,10 @@ def step_atoms(step: GlobalStep) -> list[tuple[str, AtomicStep]]:
     out, stack = [], [(step, "")]
     while stack:
         node, path = stack.pop()
-        if isinstance(node, Par):
+        if type(node) is Par:
             stack.append((node.right, path + "R"))
             stack.append((node.left, path + "L"))
-        elif isinstance(node, (Tick, Fork, Join, PermStep)):
+        elif type(node) in (Tick, Fork, Join, PermStep):
             out.append((path, node))
         else:
             raise TypeError(f"not a step: {node!r}")
@@ -716,7 +731,7 @@ def ticks(d: Diagram) -> tuple[TickRef, ...]:
         TickRef(k, path)
         for k, atoms in enumerate(step_atom_lists(d))
         for path, atom in atoms
-        if isinstance(atom, Tick)
+        if type(atom) is Tick
     )
 
 
@@ -732,10 +747,10 @@ def tick_at(d: Diagram, ref: TickRef) -> Tick:
         raise ValueError(f"{ref}: path contains {bad[0]!r}, expected L or R")
     node: GlobalStep = d.steps[ref.step]
     for c in ref.path:
-        if not isinstance(node, Par):
+        if type(node) is not Par:
             raise ValueError(f"{ref} leaves the step tree at {node!r}")
         node = node.left if c == "L" else node.right
-    if not isinstance(node, Tick):
+    if type(node) is not Tick:
         raise ValueError(f"{ref} names a {type(node).__name__}, not a tick")
     return node
 

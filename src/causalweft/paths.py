@@ -224,11 +224,9 @@ def _tables(d: Diagram) -> _Tables:
             elif kind is Fork:
                 out[here[p] - base] = (j, j + 1)
                 nxt[p + "L"], nxt[p + "R"] = j, j + 1
-            elif kind is Join:
+            else:  # a Join: `validate` refuses any other atom
                 out[here[p + "L"] - base] = out[here[p + "R"] - base] = (j,)
                 nxt[p] = j
-            else:
-                raise TypeError(f"not a step: {atom!r}")
         successors += out
         numbers.append(nxt)
         here, n = nxt, n + len(nxt)
@@ -260,21 +258,13 @@ def step_successors(d: Diagram) -> tuple[tuple[int, ...], ...]:
 
 
 def set_bits(row: int) -> Iterator[int]:
-    """The positions of the set bits of a bitset, ascending. A bitset
-    of up to 1024 bits is read a low bit at a time. Each such step
-    costs time linear in its width, so a wider one is read off its
-    binary text, in time linear in its width."""
-    if row.bit_length() <= 1024:
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
-    else:
-        bits = bin(row)[:1:-1]  # bit i is character i
-        i = bits.find("1")
-        while i >= 0:
-            yield i
-            i = bits.find("1", i + 1)
+    """The positions of the set bits of a bitset, ascending, read off
+    its binary text in time linear in its width."""
+    bits = bin(row)[:1:-1]  # bit i is character i
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -209,18 +209,17 @@ class _Reader:
         """A configuration. A tensor's left spine is read in one loop:
         down the spine, checking each node, then the leftmost leaf, then
         the right halves bottom-up, so errors come in tree order."""
-        if not isinstance(obj, dict) or len(obj) != 1:
-            raise SchemaError(f"expected a one-key config object, got {obj!r}")
-        [(key, body)] = obj.items()
         rights = None  # the right halves met so far, linked, the last first
-        while key == "tensor":
+        while True:
+            if not isinstance(obj, dict) or len(obj) != 1:
+                raise SchemaError(f"expected a one-key config object, got {obj!r}")
+            [(key, body)] = obj.items()
+            if key != "tensor":
+                break
             if not isinstance(body, list) or len(body) != 2:
                 raise SchemaError(f"tensor takes two parts, got {body!r}")
             rights = body[1], rights
             obj = body[0]
-            if not isinstance(obj, dict) or len(obj) != 1:
-                raise SchemaError(f"expected a one-key config object, got {obj!r}")
-            [(key, body)] = obj.items()
         if key != "leaf":
             raise SchemaError(f"unknown config node {obj!r}")
         node = self.term(Leaf, self.type(body))
@@ -277,7 +276,8 @@ class _Reader:
         one node. Every node it places sits at its own path, so the merge
         ends on the one root exactly when the values are distinct L/R
         paths that form a tree; a repeated value, or one with another
-        character, is left on the stack."""
+        character, is left on the stack. The nodes are this call's terms,
+        so an identity table rebuilds `context` itself as its target."""
         if context is None:
             return None
         types = site_types(context)
@@ -286,9 +286,6 @@ class _Reader:
         for t in table.values():
             if type(t) is not str:
                 return None
-        pairs = tuple(sorted(table.items()))
-        if list(table.values()) == list(table):
-            return Perm(context, context, pairs)
         paths: list[str] = []
         nodes: list[Config] = []
         terms = self.terms  # each node is `term`, inline
@@ -306,7 +303,7 @@ class _Reader:
             nodes.append(node)
         if paths != [""]:
             return None
-        return Perm(context, nodes[0], pairs)
+        return Perm(context, nodes[0], tuple(sorted(table.items())))
 
     def step(
         self,
@@ -330,28 +327,27 @@ class _Reader:
         then the right halves bottom-up, building each `Par` and output
         on the way up, so faults, atoms (whose paths `_Writer` writes
         the step from) and errors come in tree order. On the way up, an
-        idle hold on a context already read is one lookup in `perms`, and
-        a par whose halves return their own contexts returns its own."""
-        if not isinstance(obj, dict) or len(obj) != 1:
-            raise SchemaError(f"expected a one-key step object, got {obj!r}")
-        [(key, body)] = obj.items()
+        idle hold on a context already read is one lookup in `perms`;
+        each output `Tensor` is hash-consed, so a par whose halves
+        return their own contexts returns its own."""
         # the par nodes met so far, linked, the last first: each one's
-        # right half, context, the context's right half and the half's path
+        # right half, the context's right half and the half's path
         spine = None
-        while key == "par":
-            if not isinstance(body, list) or len(body) != 2:
-                raise SchemaError(f"par takes two steps, got {body!r}")
-            if type(context) is Tensor:
-                spine = body[1], context, context.right, path + "R", spine
-                context = context.left
-            else:
-                check_boundary(faults, k, path, context, None)
-                spine = body[1], context, None, path + "R", spine
-                context = None
-            obj, path = body[0], path + "L"
+        while True:
             if not isinstance(obj, dict) or len(obj) != 1:
                 raise SchemaError(f"expected a one-key step object, got {obj!r}")
             [(key, body)] = obj.items()
+            if key != "par":
+                break
+            if not isinstance(body, list) or len(body) != 2:
+                raise SchemaError(f"par takes two steps, got {body!r}")
+            if type(context) is Tensor:
+                context, right = context.left, context.right
+            else:
+                check_boundary(faults, k, path, context, None)
+                context = right = None
+            spine = body[1], right, path + "R", spine
+            obj, path = body[0], path + "L"
         if key == "perm":
             step = self.perm(body, context)
             out = step.perm.target
@@ -372,19 +368,16 @@ class _Reader:
                 check_boundary(faults, k, path, context, want)
         atoms.append((path, step))
         while spine is not None:
-            obj, context, right_context, path, spine = spine
-            right = self.perms.get((id(right_context), (("", ""),))) if obj == _HOLD else None
+            obj, context, path, spine = spine
+            right = self.perms.get((id(context), (("", ""),))) if obj == _HOLD else None
             if right is None:
-                right, right_out = self.step(obj, right_context, k, path, faults, atoms)
+                right, right_out = self.step(obj, context, k, path, faults, atoms)
             else:
                 atoms.append((path, right))
-                right_out = right_context
+                right_out = context
             step = Par(step, right)
-            if right_out is right_context and out is context.left:
-                out = context
-            else:  # `term`, inline
-                key = (Tensor, id(out), id(right_out))
-                out = self.terms.get(key) or self.terms.setdefault(key, Tensor(out, right_out))
+            key = (Tensor, id(out), id(right_out))  # `term`, inline
+            out = self.terms.get(key) or self.terms.setdefault(key, Tensor(out, right_out))
         return step, out
 
 

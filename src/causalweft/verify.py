@@ -495,18 +495,10 @@ def oracle_event_order(d: Diagram) -> set[tuple[Event, Event]]:
 
 
 def oracle_reachability(d: Diagram) -> set[tuple[SiteRef, SiteRef]]:
-    """All connected (initial site, final site) pairs, by naive
-    transitive closure."""
-    evs, rows = _event_closure(d)
+    """All connected (initial site, final site) pairs: the pairs of
+    `oracle_event_order` from cut 0 to the last cut."""
     n = d.n_steps
-    out = set()
-    for i, e1 in enumerate(evs):
-        if e1.cut != 0:
-            continue
-        for j, e2 in enumerate(evs):
-            if e2.cut == n and rows[i] >> j & 1:
-                out.add((e1.site, e2.site))
-    return out
+    return {(e1.site, e2.site) for e1, e2 in oracle_event_order(d) if e1.cut == 0 and e2.cut == n}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
     PYTHONPATH=src python tests/check_document.py DOC
 
 The loader must keep for each step the atom list that a walk of the
-step finds, read what the recursive reference walks of
+step finds, rebuild the source object of every identity perm as its
+target (hash-consing), read what the recursive reference walks of
 `reference_reads.py`, which share no code with the loader, read, and
 write the document back to the same
 bytes. A `tick_index` member, as `import-execution` appends it, is
@@ -15,7 +16,7 @@ import sys
 
 from reference_reads import read_document, reference_config, reference_step
 
-from causalweft.diagram import step_atoms
+from causalweft.diagram import PermStep, step_atoms
 from causalweft.serialize import _Reader, diagram_from_json, diagram_to_json, to_canonical_json
 
 
@@ -24,6 +25,10 @@ def check(text: str) -> bool:
     kept = d.__dict__["_step_atoms"]
     assert len(kept) == d.n_steps
     assert all(atoms == step_atoms(step) for atoms, step in zip(kept, d.steps))
+    for atoms in kept:
+        for _, atom in atoms:
+            if type(atom) is PermStep and atom.perm.is_identity():
+                assert atom.perm.target is atom.perm.source
     obj, reader = json.loads(text), _Reader()
     got = read_document(obj, reader.config, reader.step)
     want = read_document(obj, reference_config, reference_step)

@@ -1,6 +1,7 @@
 import gc
 import sys
 import weakref
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -125,11 +126,24 @@ def test_site_walks_take_deep_configurations():
     assert perm_id(cfg).faults() == []
 
 
+def unbounded(call, *args):
+    """`call(*args)`; a RecursionError fails the test without its
+    traceback, which pytest would compare frame by frame."""
+    try:
+        return call(*args)
+    except RecursionError:
+        pass
+    pytest.fail(f"{call.__name__} recursed once per level")
+
+
 def test_deep_configurations_print():
     assert str(tensor([Leaf(A), Leaf(Prod(A, B)), Leaf(C)])) == "(([A] * [(A x B)]) * [C])"
     assert str(Tensor(Leaf(A), Tensor(Leaf(B), Leaf(C)))) == "([A] * ([B] * [C]))"
     cfg = tensor([Leaf(A)] * 2999 + [Leaf(B)])
     assert str(cfg) == "(" * 2999 + "[A]" + " * [A])" * 2998 + " * [B])"
+    a, b = "Leaf(ty=Atom(name='A'))", "Leaf(ty=Atom(name='B'))"
+    want = "Tensor(left=" * 2999 + a + f", right={a})" * 2998 + f", right={b})"
+    assert unbounded(repr, cfg) == want
 
 
 def test_deep_product_types_print():
@@ -141,6 +155,24 @@ def test_deep_product_types_print():
     assert str(right) == "(A x " * 3000 + "B" + ")" * 3000
     assert str(Leaf(left)) == "[" + str(left) + "]"
     assert str(Leaf(right)) == "[" + str(right) + "]"
+    a, b = "Atom(name='A')", "Atom(name='B')"
+    assert unbounded(repr, left) == "Prod(left=" * 3000 + b + f", right={a})" * 3000
+    assert unbounded(repr, right) == f"Prod(left={a}, right=" * 3000 + b + ")" * 3000
+
+
+def test_wide_steps_print_and_name_themselves_in_errors():
+    # a 3,000-part par prints, and so do the errors that name a
+    # 3,000-site tensor: in a perm that a tick ref walks into, and in
+    # a par half that is not a step
+    tick = "Tick(in_ty=Atom(name='A'), out_ty=Atom(name='A'))"
+    wide_step = par([Tick(A, A)] * 3000)
+    assert unbounded(repr, wide_step) == "Par(left=" * 2999 + tick + f", right={tick})" * 2999
+    wide = tensor([Leaf(A)] * 3000)
+    message = r"^TickRef\(step=0, path='L'\) leaves the step tree at PermStep\("
+    with pytest.raises(ValueError, match=message):
+        unbounded(tick_at, Diagram(wide, (noop(wide),)), TickRef(0, "L"))
+    with pytest.raises(TypeError, match=r"^not a step: Tensor\(left=Tensor\("):
+        unbounded(step_atoms, Par(Tick(A, A), wide))
 
 
 def reference_str(term) -> str:
@@ -155,16 +187,29 @@ def reference_str(term) -> str:
     return f"({reference_str(term.left)} * {reference_str(term.right)})"
 
 
+def reference_repr(term) -> str:
+    """A term's dataclass repr, recursing once per level."""
+    if not is_dataclass(term):
+        return repr(term)
+    parts = [f"{f.name}={reference_repr(getattr(term, f.name))}" for f in fields(term) if f.repr]
+    return f"{type(term).__qualname__}({', '.join(parts)})"
+
+
 def test_the_printers_match_a_recursive_printer(corpus):
-    configs = types = 0
+    configs = types = steps = 0
     for d, _ in corpus:
         for config in cut_configs(d):
             assert str(config) == reference_str(config)
+            assert repr(config) == reference_repr(config)
             for ty in site_types(config).values():
                 assert str(ty) == reference_str(ty)
+                assert repr(ty) == reference_repr(ty)
                 types += isinstance(ty, Prod)
             configs += isinstance(config, Tensor)
-    assert configs > 3000 and types > 3000
+        for step in d.steps:
+            assert repr(step) == reference_repr(step)
+            steps += isinstance(step, Par)
+    assert configs > 3000 and types > 3000 and steps > 1000
 
 
 def test_tensor_builder():
@@ -275,17 +320,21 @@ def test_step_atoms_walk_left_to_right():
             walk(bad)
 
     # every judge of a step dispatches on exact classes: `validate`, the
-    # step's ends and the event tables refuse a subclass alike
+    # step's ends, the event tables and the walks of atoms and ticks
+    # refuse a subclass alike
     class Tock(Tick):
         pass
 
     tock = Tock(A, A)
     d = Diagram(Leaf(A), (tock,))
     for judge, arg in (
-        (validate, d), (cut_numbers, d), (step_input, tock), (step_output, tock)
+        (validate, d), (cut_numbers, d), (step_input, tock), (step_output, tock),
+        (step_atoms, tock), (ticks, d),
     ):
         with pytest.raises(TypeError, match=r"^not a step: \S*Tock\("):
             judge(arg)
+    with pytest.raises(ValueError, match=r"names a Tock, not a tick$"):
+        tick_at(d, TickRef(0, ""))
 
 
 def test_par_builder():

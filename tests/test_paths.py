@@ -563,8 +563,11 @@ def _low_bit_loop(row):
 
 
 def test_set_bits_agrees_with_the_low_bit_loop_up_to_40000_bits():
+    # zero, then a single bit and sparse, random and dense rows at widths
+    # up to 5,000 bits in steps of 43, and at a few up to 40,000
     rng = random.Random(3)
-    widths = [0, 1, 2, 64, 1023, 1024, 1025, 40000] + [rng.randrange(40001) for _ in range(8)]
+    widths = [*range(0, 5001, 43), 1, 2, 64, 1023, 1024, 1025, 5000, 40000]
+    widths += [rng.randrange(40001) for _ in range(8)]
     for width in widths:
         rows = [rng.getrandbits(width), (1 << width) - 1]
         if width:

@@ -18,6 +18,8 @@ from causalweft.diagram import (
     Atom,
     Diagram,
     Fault,
+    Fork,
+    Join,
     Leaf,
     Par,
     Perm,
@@ -307,7 +309,7 @@ def _reachable(d: Diagram) -> list:
     return out
 
 
-def test_one_load_shares_equal_terms():
+def test_one_load_shares_equal_terms(corpus):
     half = Tensor(Leaf(A), Leaf(Prod(A, B)))
     ticks = Par(Tick(A, A), Tick(Prod(A, B), Prod(A, B)))
     d0 = Diagram(Tensor(half, half), (noop(Tensor(half, half)),) * 2 + (Par(ticks, ticks),))
@@ -318,6 +320,20 @@ def test_one_load_shares_equal_terms():
     assert left.left.ty is left.right.ty.left
     assert d.steps[2].right.left.in_ty is left.left.ty
     assert d.steps[0] is d.steps[1]
+    # within any load, equal terms are one object, and an identity perm
+    # (an idle hold, a noop) rebuilds its source object as its target
+    kinds = (Atom, Prod, Leaf, Tensor, Tick, Fork, Join, PermStep)
+    compiled = [to_diagram(x)[:2] for x in compiled_executions()]
+    identities = 0
+    for d, lab in [(d0, {}), *corpus, *compiled]:
+        first: dict = {}
+        for x in _reachable(diagram_from_json(diagram_to_json(d, lab))[0]):
+            if type(x) in kinds:
+                assert first.setdefault(x, x) is x
+            if type(x) is PermStep and x.perm.is_identity():
+                assert x.perm.target is x.perm.source
+                identities += 1
+    assert identities > 1000
 
 
 def test_two_loads_share_no_term(small_corpus):
