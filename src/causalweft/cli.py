@@ -169,7 +169,8 @@ def _cmd_paths(args) -> int:
     d, _ = _load_valid(args.file)
     src = _parse_event(args.src, d)
     dst = _parse_event(args.dst, d)
-    found = list(islice(causal_paths(d, src, dst), args.limit or None))
+    # no enumeration outlasts sys.maxsize witnesses, islice's largest stop
+    found = list(islice(causal_paths(d, src, dst), min(args.limit, sys.maxsize) or None))
     return _report(args, [witness_to_obj(w) for w in found], found)
 
 

@@ -39,13 +39,12 @@ T = TypeVar("T")
 # write their repr from their leaves: `_tree_repr`), and assigning or
 # deleting a field still raises FrozenInstanceError. Configurations,
 # perms and parallel steps fill the instance __dict__ in one statement,
-# the cheapest way: the first two keep derived tables there anyway, and
-# step trees are walked, not read field by field. The other terms are
-# hashed, compared and read over and over, so they set each field with
-# `_setfield` and keep it in inline attribute storage; on CPython 3.11 a
-# filled __dict__ makes each later read about three times slower and
-# adds 64 bytes per instance. No __slots__: derived tables live in the
-# instance __dict__.
+# the cheapest way: all three keep derived tables there anyway. The
+# other terms are hashed, compared and read over and over, so they set
+# each field with `_setfield` and keep it in inline attribute storage;
+# on CPython 3.11 a filled __dict__ makes each later read about three
+# times slower and adds 64 bytes per instance. No __slots__: derived
+# tables live in the instance __dict__.
 
 # A constant: the setter that a frozen dataclass's own __setattr__ hides.
 _setfield = object.__setattr__
@@ -180,23 +179,16 @@ _SITE_TYPES = "_site_types"
 
 def site_types(config: Config) -> Mapping[SiteRef, StateType]:
     """Site path -> state type for every site of a configuration, in
-    left-to-right order. Built on first use by one walk with an
-    explicit stack, so tree depth is not bounded by the recursion
-    limit, and kept in the instance's own __dict__, so it is freed
-    with the configuration. Read-only: every caller shares it."""
+    left-to-right order. Built on first use from `_leaves`, and kept in
+    the instance's own __dict__, so it is freed with the configuration.
+    Read-only: every caller shares it."""
     table = config.__dict__.get(_SITE_TYPES)
     if table is None:
         table = {}
-        stack = [(config, "")]
-        while stack:
-            node, path = stack.pop()
-            if isinstance(node, Tensor):
-                stack.append((node.right, path + "R"))
-                stack.append((node.left, path + "L"))
-            elif isinstance(node, Leaf):
-                table[path] = node.ty
-            else:
-                raise TypeError(f"not a configuration: {node!r}")
+        for path, leaf in _leaves(config, Tensor):
+            if type(leaf) is not Leaf:
+                raise TypeError(f"not a configuration: {leaf!r}")
+            table[path] = leaf.ty
         config.__dict__[_SITE_TYPES] = table
     return table
 
@@ -398,8 +390,9 @@ class Par:
     """Two steps running side by side on disjoint halves of the
     configuration.
 
-    Equality and hashing read the list of atoms with their paths, which
-    fixes the tree, so a wide step does not recurse once per level."""
+    Equality and hashing read the list of atoms with their paths
+    (`step_atoms`, kept on first use), which fixes the tree, so a wide
+    step does not recurse once per level."""
 
     left: "GlobalStep"
     right: "GlobalStep"
@@ -483,22 +476,28 @@ def step_output(step: GlobalStep) -> Config:
     return _step_end(step, _atom_output)
 
 
+_ATOMS = "_step_atoms"
+
+
 def step_atoms(step: GlobalStep) -> list[tuple[str, AtomicStep]]:
     """The atomic actions of a step with their paths in its tree, in
-    left-to-right order, as a list: every caller reads all of them. One
-    walk with an explicit stack, so wide parallel steps are not bounded
-    by the recursion limit."""
-    out, stack = [], [(step, "")]
-    while stack:
-        node, path = stack.pop()
-        if type(node) is Par:
-            stack.append((node.right, path + "R"))
-            stack.append((node.left, path + "L"))
-        elif type(node) in (Tick, Fork, Join, PermStep):
-            out.append((path, node))
-        else:
-            raise TypeError(f"not a step: {node!r}")
-    return out
+    left-to-right order, as a list: every caller reads all of them.
+    Built from `_leaves`; a parallel step keeps the list its own walk
+    found in its __dict__, as a configuration keeps its site table, so
+    a step built in code is walked once. Read-only: every caller shares
+    it."""
+    # an atom keeps nothing: reading its __dict__ would give up the
+    # inline storage of its fields (see the note at the top)
+    kept = type(step) is Par
+    atoms = step.__dict__.get(_ATOMS) if kept else None
+    if atoms is None:
+        atoms = _leaves(step, Par)
+        for _, atom in atoms:
+            if type(atom) not in (Tick, Fork, Join, PermStep):
+                raise TypeError(f"not a step: {atom!r}")
+        if kept:
+            step.__dict__[_ATOMS] = atoms
+    return atoms
 
 
 def par(steps: Sequence[GlobalStep]) -> GlobalStep:
@@ -591,7 +590,7 @@ def check_boundary(
 def _step_faults(step: GlobalStep, have: Config, k: int) -> list[Fault]:
     """The faults of a step applied to `have`: those of its permutation
     tables, then its boundary mismatches, each in tree order. One walk
-    with an explicit stack, as in `step_atoms`."""
+    with an explicit stack, as in `_leaves`."""
     perm_faults: list[Fault] = []
     boundary_faults: list[Fault] = []
     stack: list[tuple[GlobalStep, str, Config | None]] = [(step, "", have)]
@@ -623,9 +622,6 @@ def _keep_faults(d: Diagram, faults: list[Fault]) -> None:
     d.__dict__[_FAULTS] = faults
 
 
-_ATOMS = "_step_atoms"
-
-
 def _keep_atoms(d: Diagram, atoms: list[list[tuple[str, AtomicStep]]]) -> None:
     """Record each step's `step_atoms` list, made by the code that built
     the steps (the loader as it parses each step, the compiler as it
@@ -637,8 +633,9 @@ def _keep_atoms(d: Diagram, atoms: list[list[tuple[str, AtomicStep]]]) -> None:
 def step_atom_lists(d: Diagram) -> Iterable[list[tuple[str, AtomicStep]]]:
     """`step_atoms` of each step of `d`, in step order: the lists a
     loaded document (see `serialize`) or a compiled execution (see
-    `lamport.to_diagram`) brings, else a walk of each step as it is
-    reached, which is not kept. Read-only: a kept list is shared."""
+    `lamport.to_diagram`) brings, else `step_atoms` of each step as it
+    is reached, which a parallel step keeps. Read-only: a kept list is
+    shared."""
     atoms = d.__dict__.get(_ATOMS)
     return map(step_atoms, d.steps) if atoms is None else atoms
 

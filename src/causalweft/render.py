@@ -12,16 +12,16 @@ from typing import Iterator, Mapping
 
 from .clocks import Action
 from .diagram import (
+    AtomicStep,
     Diagram,
     Fork,
-    GlobalStep,
     Join,
     PermStep,
     Tick,
     TickRef,
     cut_configs,
     site_types,
-    step_atoms,
+    step_atom_lists,
 )
 from .paths import cut_numbers, step_successors, tick_outputs
 
@@ -69,9 +69,9 @@ def to_dot(d: Diagram, lab: Mapping[TickRef, Action] | None = None) -> str:
 
 
 def _step_lines(
-    step: GlobalStep, k: int, lab: Mapping[TickRef, Action] | None
+    atoms: list[tuple[str, AtomicStep]], k: int, lab: Mapping[TickRef, Action] | None
 ) -> Iterator[str]:
-    for path, atom in step_atoms(step):
+    for path, atom in atoms:
         at = path if path else "."
         match atom:
             case Tick(in_ty, out_ty):
@@ -95,13 +95,13 @@ def _step_lines(
 def to_ascii(d: Diagram, lab: Mapping[TickRef, Action] | None = None) -> str:
     """Plain-text rendering: one rule per cut listing its sites, with
     the step's actions indented between consecutive cuts."""
-    cfgs = cut_configs(d)
+    cfgs, atoms = cut_configs(d), list(step_atom_lists(d))
     out = []
     for t, cfg in enumerate(cfgs):
         out.append(f"---- cut {t} ----")
         out.append("  ".join(f"{s or '.'}={cfg_site}" for s, cfg_site in _columns(cfg)))
         if t < d.n_steps:
-            for line in _step_lines(d.steps[t], t, lab):
+            for line in _step_lines(atoms[t], t, lab):
                 out.append("    " + line)
     return "\n".join(out) + "\n"
 

@@ -69,7 +69,6 @@ under, so it writes no text the reader cannot read.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from bisect import bisect_left
@@ -625,6 +624,8 @@ def diagram_from_json(text: str) -> tuple[Diagram, dict[TickRef, Any]]:
 
 def diagram_hash(d: Diagram, lab: Mapping[TickRef, Any] | None = None) -> str:
     """sha256 of the canonical document; stable across runs."""
+    import hashlib  # here, so that loading the library loads no OpenSSL
+
     return hashlib.sha256(diagram_to_json(d, lab).encode()).hexdigest()
 
 

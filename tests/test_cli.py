@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+import sys
 
 import pytest
 
@@ -255,6 +256,18 @@ def test_negative_counts_are_input_errors(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
     assert main(["laws", "--clock", "vector", "--samples", "0"]) == 0
     assert capsys.readouterr().out == "clock vector: 0 samples, 0 law failures\n"
+
+
+def test_a_limit_past_sys_maxsize_is_no_limit(tmp_path, capsys):
+    # islice takes no stop past sys.maxsize; no enumeration gets there
+    path = write(tmp_path, "swapped.json", swapped_diamond_doc())
+    argv = ["paths", path, "--from", "0:L", "--to", "N:R", "--limit"]
+    assert main(argv + ["0"]) == 0
+    unlimited = capsys.readouterr()
+    assert len(unlimited.out.splitlines()) == 2 and unlimited.err == ""
+    for limit in (sys.maxsize, sys.maxsize + 1, 99999999999999999999):
+        assert main(argv + [str(limit)]) == 0
+        assert capsys.readouterr() == unlimited
 
 
 def test_paths_follow_a_span_longer_than_the_recursion_limit(tmp_path, capsys):

@@ -5,6 +5,7 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
+from causalweft import diagram
 from causalweft.diagram import (
     Atom,
     CompositionError,
@@ -51,7 +52,8 @@ from causalweft.diagram import (
     validate,
 )
 from causalweft.clocks import Action
-from causalweft.paths import cut_numbers, step_successors
+from causalweft.paths import cut_numbers, step_relation, step_successors
+from causalweft.render import render
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -75,6 +77,16 @@ def test_sites_left_to_right():
     assert sites(cfg) == ("LL", "LR", "R")
     assert n_sites(cfg) == 3
     assert sites(Leaf(A)) == ("",)
+
+    # the site table's walk takes exact classes, as the step walks do,
+    # and a tree it refuses keeps no table
+    class Spot(Leaf):
+        pass
+
+    for bad in (Tensor(Leaf(A), Tick(A, A)), Tensor(Leaf(A), Spot(A))):
+        with pytest.raises(TypeError, match=r"^not a configuration: \S*(Tick|Spot)\("):
+            sites(bad)
+        assert "_site_types" not in bad.__dict__
 
 
 def test_sites_are_lexicographically_ordered():
@@ -335,6 +347,39 @@ def test_step_atoms_walk_left_to_right():
             judge(arg)
     with pytest.raises(ValueError, match=r"names a Tock, not a tick$"):
         tick_at(d, TickRef(0, ""))
+
+
+def test_a_parallel_step_is_walked_once(monkeypatch):
+    # a wide step built in code keeps the atom list of its first walk,
+    # as a configuration keeps its site table, and every reader of its
+    # atoms reads that list
+    walks = []
+    leaves = diagram._leaves
+
+    def counted(root, inner):
+        if inner is Par:
+            walks.append(id(root))
+        return leaves(root, inner)
+
+    monkeypatch.setattr(diagram, "_leaves", counted)
+    a, b = par([Tick(A, A)] * 3000), par([Tick(A, A)] * 3000)
+    for _ in range(3):
+        assert hash(a) == hash(b) and a == b and b == a
+    assert walks == [id(a), id(b)]
+    assert a.__dict__["_step_atoms"] is step_atoms(a)
+    d = Diagram(tensor([Leaf(A)] * 3000), (a, b))
+    assert len(ticks(d)) == 6000 and len(step_relation(a)) == 3000
+    assert len(cut_numbers(d)) == 3 and render(d, format="ascii").count("tick @") == 6000
+    assert walks == [id(a), id(b)]
+    # an atomic step keeps nothing, nor does a par with a leaf that is
+    # not a step: it raises on every walk
+    tick = Tick(A, A)
+    assert step_atoms(tick) == [("", tick)] and "_step_atoms" not in vars(tick)
+    bad = Par(Tick(A, A), Leaf(A))
+    for _ in range(2):
+        with pytest.raises(TypeError, match="not a step"):
+            step_atoms(bad)
+    assert "_step_atoms" not in bad.__dict__
 
 
 def test_par_builder():

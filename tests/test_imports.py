@@ -1,10 +1,14 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and the CLI
+loads no module only one of its commands needs.
 
 Library modules, tests and demos are scanned. `__init__.py` is left
 out: its imports are the package's exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,3 +47,16 @@ def test_no_module_imports_a_name_it_never_uses():
         if (unused := unused_imports(p.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_the_cli_does_not_load_hashlib():
+    # only `serialize.diagram_hash` (check-clock --json) hashes, and
+    # hashlib loads OpenSSL, about 3 MB of peak RSS per CLI process
+    code = "import causalweft.cli, sys; sys.exit('hashlib' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode() or "hashlib was imported"

@@ -522,6 +522,23 @@ def _loaded(d: Diagram, lab) -> Diagram:
     return diagram_from_json(diagram_to_json(d, lab))[0]
 
 
+def test_each_loaded_step_equals_its_code_built_twin(corpus):
+    # equality and hashing read each par's own walk, kept on the par,
+    # never the list the loader keeps on its diagram
+    pars = 0
+    for d, lab in corpus:
+        loaded = _loaded(d, lab)
+        kept = loaded.__dict__["_step_atoms"]
+        assert loaded.n_steps == d.n_steps
+        for k, (read, built) in enumerate(zip(loaded.steps, d.steps)):
+            assert read == built and built == read and hash(read) == hash(built)
+            if type(read) is Par:
+                assert read.__dict__["_step_atoms"] == kept[k]
+                assert read.__dict__["_step_atoms"] is not kept[k]
+                pars += 1
+    assert pars > 1000
+
+
 def test_the_loader_keeps_each_steps_atom_list(corpus):
     # the kept lists must be what a walk finds, and the tables and ticks
     # read from them what a diagram with the same steps and no kept
