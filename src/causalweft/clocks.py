@@ -3,9 +3,9 @@
 A clock is an algebra of timestamps: a preorder `leq`, a family of
 `increment` operations indexed by actions, and a binary `merge`. Any
 such algebra can be pushed through a diagram: ticks increment, forks
-copy, joins merge, perms shuffle. That is one sweep up the event
-numbers of the `paths` table, along its step edges, which stamps every
-event; per-event clock reads and the final valuation are read off it.
+copy, joins merge, perms shuffle. That is `paths.sweep` up the event
+numbers along the step edges, the loop that also builds the wire table;
+per-event clock reads and the final valuation are read off its stamps.
 
 Two families are built in. Classifier clocks count how many times each
 class of action has been seen, for a pluggable notion of class (all
@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from .diagram import Diagram, SiteRef, TickRef, _setfield, site_types, sites
-from .paths import Event, check_event, cut_numbers, events, step_successors, tick_outputs
+from .paths import Event, check_cut, check_event, cut_numbers, events, step_successors
+from .paths import sweep, tick_outputs
 
 Pid = str | int
 
@@ -338,40 +339,31 @@ def event_stamps(
     valuation: Valuation,
     stop: int | None = None,
 ) -> list[Any]:
-    """The stamp of every event, indexed by event number: one sweep up
-    the numbers pushes each stamp along its step edges. A copy passes
-    the object on, a tick increments it, and a join merges its left
-    input (the lower number, so the first to arrive) with its right.
-    With `stop`, only the stamps up to cut `stop` are final and no later
-    label is read. Raises ValueError for a `stop` outside 0..n_steps,
-    valuation keys other than the initial sites, a step whose sites do
-    not chain up, with the first fault `validate` names, or an
-    unlabeled tick."""
-    if stop is not None and not 0 <= stop <= d.n_steps:
-        raise ValueError(f"cut {stop} out of range 0..{d.n_steps}")
+    """The stamp of every event, indexed by event number, by `paths.sweep`:
+    a copy and both fork outputs pass the object on, a tick increments it,
+    and a join merges its left input (the lower number) with its right.
+    With `stop`, only stamps up to cut `stop` are final and no later label
+    is read. Raises ValueError for a `stop` not an int in 0..n_steps,
+    valuation keys other than the initial sites, a step whose sites do not
+    chain up (the first fault `validate` names) or an unlabeled tick."""
+    if stop is not None:
+        check_cut(d, stop)
     want = site_types(d.initial)
     if valuation.keys() != want.keys():
         raise ValueError(
             f"valuation keys {sorted(valuation)} do not match initial sites {sorted(want)}"
         )
     successors, ticks = step_successors(d), tick_outputs(d)
-    unset = object()
-    stamps = [valuation[s] for s in want] + [unset] * (len(successors) - len(want))
-    end = len(successors) if stop is None else min(cut_numbers(d)[stop].values())
-    increment, merge = clock.increment, clock.merge
-    for i in range(end):
-        here = stamps[i]
-        for j in successors[i]:
-            if stamps[j] is not unset:
-                stamps[j] = merge(stamps[j], here)
-            elif j in ticks:
-                ref = TickRef(*ticks[j])
-                if ref not in lab:
-                    raise ValueError(f"tick {ref} has no label")
-                stamps[j] = increment(lab[ref], here)
-            else:
-                stamps[j] = here
-    return stamps
+    end = None if stop is None else min(cut_numbers(d)[stop].values())
+
+    def tick(j: int, stamp: Any) -> Any:
+        ref = TickRef(*ticks[j])
+        if ref not in lab:
+            raise ValueError(f"tick {ref} has no label")
+        return clock.increment(lab[ref], stamp)
+
+    start = [valuation[s] for s in want]
+    return sweep(successors, ticks, start, tick, clock.merge, lambda t: (t, t), end)
 
 
 def update(
@@ -408,5 +400,5 @@ def clock_at(
     """The clock read at one event: sweep up to the event's cut and
     look at its site. Agrees with `timestamp_all`, and reads no label
     past that cut."""
-    check_event(d, e)
-    return event_stamps(d, lab, clock, valuation, e.cut)[cut_numbers(d)[e.cut][e.site]]
+    i = check_event(d, e)
+    return event_stamps(d, lab, clock, valuation, e.cut)[i]

@@ -10,19 +10,19 @@ Every order query reads one wire table. Events are numbered by (cut,
 site), their sort order. A wire is a maximal run of events joined by
 copies (perm pairs, idle holds), headed by an initial event or an
 output of a tick, fork or join; its history is the bitset of the wires
-that reach its head, itself included (the causal-history clock of
-Schwarz & Mattern 1994, per wire). So event i reaches event j exactly
-when i <= j and i's wire is in j's wire's history. The table is built
-on the first order query, only for a diagram `validate` accepts, by one
-pass over each step's atoms and one sweep up the numbers. It lives on
-the diagram instance; validating, rendering and timestamping never pay.
+that reach its head, itself included. So event i reaches event j
+exactly when i <= j and i's wire is in j's wire's history. One pass
+over each step's atoms of a diagram `validate` accepts numbers the
+events; the first order query then runs the causal-history clock
+(Schwarz & Mattern 1994) through `sweep`, the loop that stamps clocks.
+Both live on the diagram; rendering and timestamping skip the clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
 from .diagram import (
@@ -56,20 +56,21 @@ class Event:
         return f"{self.cut}:{self.site if self.site else '.'}"
 
 
-def _number(d: Diagram, e: Event) -> int:
-    """The number of event `e` in `events(d)`; raises unless `e` names
-    a site of the cut-e.cut configuration."""
-    if not 0 <= e.cut <= d.n_steps:
-        raise ValueError(f"cut {e.cut} out of range 0..{d.n_steps}")
+def check_cut(d: Diagram, cut: int) -> None:
+    """Raise ValueError unless `cut` is an int, not a bool, in 0..n_steps."""
+    if type(cut) is not int:
+        raise ValueError(f"cut {cut!r} is not an int")
+    if not 0 <= cut <= d.n_steps:
+        raise ValueError(f"cut {cut} out of range 0..{d.n_steps}")
+
+
+def check_event(d: Diagram, e: Event) -> int:
+    """The number of `e` in `events(d)`; raises ValueError unless `e` is a site at its cut."""
+    check_cut(d, e.cut)
     try:
         return _tables(d).numbers[e.cut][e.site]
     except KeyError:
         raise ValueError(f"{e.site!r} is not a site at cut {e.cut}") from None
-
-
-def check_event(d: Diagram, e: Event) -> None:
-    """Raise unless `e` names a site of the cut-e.cut configuration."""
-    _number(d, e)
 
 
 def events(d: Diagram) -> tuple[Event, ...]:
@@ -151,32 +152,45 @@ class _Tables:
 
     @cached_property
     def wires(self) -> Wires:
-        return _sweep_wires(self.successors, self.ticks)
+        """The causal-history clock through `sweep`: initial event k has bit k,
+        and each tick, fork and join output ORs in the next bit, its wire."""
+        history = [1 << k for k in range(len(self.numbers[0]))]
+
+        def head(past: int) -> int:
+            history.append(past | 1 << len(history))
+            return history[-1]
+
+        stamps = sweep(self.successors, self.ticks, list(history), lambda j, past: head(past),
+                       lambda l, r: head(l | r), lambda past: (head(past), head(past)))
+        return Wires(tuple([s.bit_length() - 1 for s in stamps]), tuple(history))
 
     @cached_property
     def events(self) -> tuple[Event, ...]:
         return tuple(Event(t, s) for t, here in enumerate(self.numbers) for s in here)
 
 
-def _sweep_wires(successors: Sequence[Sequence[int]], ticks: Mapping) -> Wires:
-    """One sweep up the numbers: an event not yet reached is initial. A
-    copy keeps its input's wire; a tick output and each fork output
-    start a wire with the input's history, and a join output starts one
-    when its second input arrives, with the union of both."""
-    wire, history = [-1] * len(successors), []
-    for i, nexts in enumerate(successors):
-        if wire[i] < 0:
-            wire[i] = len(history)
-            history.append(1 << wire[i])
-        w = wire[i]
-        for j in nexts:
-            if wire[j] < 0 and len(nexts) == 1 and j not in ticks:
-                wire[j] = w  # a copy, or a join's first input
-            else:  # a new wire, with both histories at a join
-                past = history[w] | (history[wire[j]] if wire[j] >= 0 else 0)
-                wire[j] = len(history)
-                history.append(past | 1 << wire[j])
-    return Wires(tuple(wire), tuple(history))
+def sweep(
+    successors: Sequence, ticks: Mapping, start: list, tick, merge, fork, end: int | None = None
+) -> list:
+    """Push values along the step edges from `start`, one per initial event,
+    out of every event (before `end`, if given): a copy passes the object on,
+    tick output j gets `tick(j, value)`, a fork's outputs the pair
+    `fork(value)`, and a join `merge(left, right)`, left being the lower number."""
+    unset = object()
+    values = start + [unset] * (len(successors) - len(start))
+    for i in range(len(successors) if end is None else end):
+        nexts = successors[i]
+        if len(nexts) == 2:  # a fork
+            values[nexts[0]], values[nexts[1]] = fork(values[i])
+        elif nexts:
+            j = nexts[0]
+            if values[j] is not unset:  # a join's second input
+                values[j] = merge(values[j], values[i])
+            elif j in ticks:
+                values[j] = tick(j, values[i])
+            else:  # a copy, or a join's first input
+                values[j] = values[i]
+    return values
 
 
 _TABLES = "_paths_tables"
@@ -337,16 +351,10 @@ def span_reachable(d: Diagram, s1: SiteRef, s2: SiteRef) -> bool:
 def span_count(d: Diagram, s1: SiteRef, s2: SiteRef) -> int:
     """How many distinct trajectories cross from s1 to s2. Exact; the
     count can grow exponentially in the number of steps."""
-    i, j = _number(d, Event(0, s1)), _number(d, Event(d.n_steps, s2))
-    successors = _tables(d).successors
-    counts = {i: 1}
-    for _ in range(d.n_steps):
-        nxt: dict[int, int] = {}
-        for a, c in counts.items():
-            for b in successors[a]:
-                nxt[b] = nxt.get(b, 0) + c
-        counts = nxt
-    return counts.get(j, 0)
+    i, j = check_event(d, Event(0, s1)), check_event(d, Event(d.n_steps, s2))
+    tables = _tables(d)
+    start = [int(k == i) for k in range(len(tables.numbers[0]))]
+    return sweep(tables.successors, tables.ticks, start, lambda _, c: c, add, lambda c: (c, c))[j]
 
 
 def _enumerate(
@@ -393,7 +401,7 @@ def causally_ordered(d: Diagram, e1: Event, e2: Event) -> bool:
     """Can e1 influence e2? True iff e1.cut <= e2.cut and some
     trajectory connects them. Reflexive by construction; antisymmetric
     because trajectories never move backward in time."""
-    return wire_table(d).reaches(_number(d, e1), _number(d, e2))
+    return wire_table(d).reaches(check_event(d, e1), check_event(d, e2))
 
 
 def causal_paths(d: Diagram, e1: Event, e2: Event) -> Iterator[PathWitness]:

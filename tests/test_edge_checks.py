@@ -7,7 +7,7 @@ planted faults in the wire table."""
 import random
 from dataclasses import replace
 
-from causalweft import paths
+from causalweft import clocks, paths
 from causalweft.cli import main
 from causalweft.clocks import (
     CLOCK_NAMES,
@@ -172,21 +172,31 @@ def test_the_clock_condition_calls_leq_once_per_stamp_and_edge():
 
 
 def test_one_wire_sweep_per_check_order_and_check_clock(tmp_path, monkeypatch, capsys):
-    sweeps, sweep = [], paths._sweep_wires
+    """`paths.sweep` is the one loop up the event numbers: `check-order`
+    runs it once, for the wire table's history clock, `check-clock`
+    twice, for the clock's stamps and then the history, and `timestamps`
+    once, for the stamps."""
+    sweeps, sweep = [], paths.sweep
 
-    def counted(successors, ticks):
-        sweeps.append(len(successors))
-        return sweep(successors, ticks)
+    def counted(successors, ticks, start, *rest):
+        sweeps.append((len(successors), type(start[0]).__name__))
+        return sweep(successors, ticks, start, *rest)
 
-    monkeypatch.setattr(paths, "_sweep_wires", counted)
+    monkeypatch.setattr(paths, "sweep", counted)
+    monkeypatch.setattr(clocks, "sweep", counted)
     doc = str(tmp_path / "d.json")
     argv = ["--seed", "3", "--max-steps", "64", "--max-sites", "16", "--out", doc]
     assert main(["gen", *argv]) == 0
     n = len(events(gen_diagram(GenParams(seed=3, max_steps=64, max_sites=16))[0]))
-    for command in (["check-order", doc], ["check-clock", doc, "--clock", "vector"]):
+    history, stamps = (n, "int"), (n, "ClassifierStamp")
+    for command, runs in (
+        (["check-order", doc], [history]),
+        (["check-clock", doc, "--clock", "vector"], [stamps, history]),
+        (["timestamps", doc, "--clock", "vector"], [stamps]),
+    ):
         sweeps.clear()
         assert main(command) == 0
-        assert sweeps == [n], command
+        assert sweeps == runs, command
     assert "order laws hold" in capsys.readouterr().out
 
 
@@ -270,6 +280,16 @@ def test_the_pair_count_is_exact(corpus):
     )
     assert wires.pair_count() == naive == past_sweep_pairs(d)
     assert derived_order(d, tick_index) == hb_closure(x)
+
+
+def test_the_certificate_accepts_the_true_table(corpus):
+    # a certificate that refused a true table would send `check_order_laws`
+    # down its row expansion, quadratic in the events, with the same report
+    for d, _ in corpus:
+        assert _wires_hold(wire_table(d), step_successors(d))
+    for seed in range(20):
+        d, _, _ = to_diagram(gen_execution(seed, 8, 100))
+        assert _wires_hold(wire_table(d), step_successors(d)), seed
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from causalweft.paths import (
     witness_valid,
 )
 
-from causalweft.clocks import Action, event_stamps, vector_clock, zero_valuation
+from causalweft.clocks import Action, clock_at, event_stamps, vector_clock, zero_valuation
 from causalweft.lamport import derived_order
 from causalweft.render import to_dot
 from causalweft.verify import GenParams, check_order_laws, gen_diagram
@@ -72,11 +72,30 @@ def test_events_enumeration(message_flow):
 
 def test_check_event_rejects_bad_coordinates(message_flow):
     d, _ = message_flow
-    check_event(d, Event(0, "L"))
+    assert [check_event(d, e) for e in events(d)] == list(range(len(events(d))))
     with pytest.raises(ValueError):
         check_event(d, Event(4, "L"))
     with pytest.raises(ValueError):
         check_event(d, Event(0, "LL"))
+
+
+def test_a_cut_that_is_not_an_int_is_refused():
+    # a bool would index as 0 or 1 and a float would not index at all
+    d = Diagram(Leaf(Prod(A, A)), (Fork(A, A),))
+    c = vector_clock()
+    v = zero_valuation(c, d.initial)
+    for cut in (True, 1.0, "1"):
+        message = f"^{re.escape(f'cut {cut!r} is not an int')}$"
+        for query in (
+            lambda: causally_ordered(d, Event(cut, "L"), Event(1, "L")),
+            lambda: causally_ordered(d, Event(0, ""), Event(cut, "L")),
+            lambda: clock_at(d, {}, c, v, Event(cut, "L")),
+            lambda: event_stamps(d, {}, c, v, cut),
+        ):
+            with pytest.raises(ValueError, match=message):
+                query()
+    assert causally_ordered(d, Event(0, ""), Event(1, "L"))
+    assert event_stamps(d, {}, c, v, 1) == event_stamps(d, {}, c, v)
 
 
 def test_an_ill_typed_diagram_gets_no_order():
