@@ -356,11 +356,14 @@ def event_stamps(
     successors, ticks = step_successors(d), tick_outputs(d)
     end = None if stop is None else min(cut_numbers(d)[stop].values())
 
+    # keyed by the tables' (step, path) pairs: hashing a TickRef runs in Python
+    labels = {(r.step, r.path): a for r, a in lab.items()}
+
     def tick(j: int, stamp: Any) -> Any:
-        ref = TickRef(*ticks[j])
-        if ref not in lab:
-            raise ValueError(f"tick {ref} has no label")
-        return clock.increment(lab[ref], stamp)
+        key = ticks[j]
+        if key not in labels:
+            raise ValueError(f"tick {TickRef(*key)} has no label")
+        return clock.increment(labels[key], stamp)
 
     start = [valuation[s] for s in want]
     return sweep(successors, ticks, start, tick, clock.merge, lambda t: (t, t), end)

@@ -40,6 +40,7 @@ to read the happens-before relation back off the diagram.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Mapping
@@ -450,17 +451,20 @@ def gen_execution(
     ids = [f"a{i + 1}" for i in range(rng.randint(0, max_actions))]
     owner = {a: rng.choice(pids) for a in ids}
     processes = {p: tuple(a for a in ids if owner[a] == p) for p in pids}
-    free = set(ids)
+    # the free actions not yet passed, in schedule order
+    free = deque(ids)
     messages = set()
-    for i, a in enumerate(ids):
-        if a not in free or rng.random() >= message_rate:
+    for a in ids:
+        if not free or free[0] != a:  # a was taken as a receiver
             continue
-        later = [b for b in ids[i + 1 :] if b in free and owner[b] != owner[a]]
+        free.popleft()
+        if rng.random() >= message_rate:
+            continue
+        later = [b for b in free if owner[b] != owner[a]]
         if later:
             b = rng.choice(later)
             messages.add((a, b))
-            free.discard(a)
-            free.discard(b)
+            free.remove(b)
     sends = {s: r for s, r in messages}
     recvs = {r: s for s, r in messages}
     actions = {}

@@ -69,7 +69,7 @@ def check_event(d: Diagram, e: Event) -> int:
     check_cut(d, e.cut)
     try:
         return _tables(d).numbers[e.cut][e.site]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable site
         raise ValueError(f"{e.site!r} is not a site at cut {e.cut}") from None
 
 

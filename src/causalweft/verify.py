@@ -12,7 +12,10 @@ pairs into violations with a trajectory witness each.
 
 The generators build random well-typed diagrams and random acyclic
 executions from a seed, types first, so no rejection sampling is
-involved and equal seeds give byte-identical artifacts.
+involved and equal seeds give byte-identical artifacts. Each random
+step comes with its output configuration, built beside it, and the
+site count is carried from step to step, so no output is rebuilt or
+walked again.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .diagram import (
     Join,
     Leaf,
     Par,
+    Perm,
     PermStep,
     Prod,
     SiteRef,
@@ -46,12 +50,9 @@ from .diagram import (
     Tick,
     TickRef,
     cut_configs,
-    n_sites,
-    noop,
     perm_from_table,
-    site_type,
+    site_types,
     sites,
-    step_output,
     ticks,
 )
 from .paths import (
@@ -110,16 +111,16 @@ class GenParams:
             raise ValueError("at least one weight must be positive")
 
 
-def _weighted(rng: random.Random, choices: list[tuple[str, float]]) -> str | None:
-    total = sum(w for _, w in choices)
+def _weighted(rng: random.Random, weights: list[float]) -> int | None:
+    total = sum(weights)
     if total <= 0:
         return None
     x = rng.random() * total
-    for kind, w in choices:
+    for i, w in enumerate(weights):
         x -= w
         if x < 0:
-            return kind
-    return choices[-1][0]
+            return i
+    return len(weights) - 1
 
 
 def _random_type(rng: random.Random, p: GenParams) -> StateType:
@@ -136,9 +137,9 @@ def _random_tree(rng: random.Random, leaves: list[Config]) -> Config:
     return Tensor(_random_tree(rng, leaves[:k]), _random_tree(rng, leaves[k:]))
 
 
-def _random_perm(rng: random.Random, cfg: Config) -> PermStep:
-    src = sites(cfg)
-    tys = [site_type(cfg, s) for s in src]
+def _random_perm(rng: random.Random, cfg: Config) -> tuple[PermStep, Config]:
+    types = site_types(cfg)
+    src, tys = list(types), list(types.values())
     n = len(src)
     pi = list(range(n))
     rng.shuffle(pi)
@@ -148,41 +149,43 @@ def _random_perm(rng: random.Random, cfg: Config) -> PermStep:
     target = _random_tree(rng, [Leaf(t) for t in slot])  # type: ignore[arg-type]
     tgt = sites(target)
     table = {src[i]: tgt[pi[i]] for i in range(n)}
-    return PermStep(perm_from_table(cfg, target, table))
+    return PermStep(perm_from_table(cfg, target, table)), target
 
 
 def _random_step(
     rng: random.Random, p: GenParams, cfg: Config, budget: list[int]
-) -> GlobalStep:
-    match cfg:
-        case Leaf(ty):
-            choices = [("tick", p.tick_weight), ("noop", p.perm_weight)]
-            if isinstance(ty, Prod) and budget[0] < p.max_sites:
-                choices.append(("fork", p.fork_weight))
-            kind = _weighted(rng, choices) or "noop"
-            if kind == "tick":
-                return Tick(ty, _random_type(rng, p))
-            if kind == "fork":
-                budget[0] += 1
-                return Fork(ty.left, ty.right)
-            return noop(cfg)
-        case Tensor(left, right):
-            choices = [
-                ("par", p.tick_weight + p.fork_weight + 1.0),
-                ("perm", p.perm_weight),
-            ]
-            if isinstance(left, Leaf) and isinstance(right, Leaf):
-                choices.append(("join", p.join_weight))
-            kind = _weighted(rng, choices) or "par"
-            if kind == "join":
-                budget[0] -= 1
-                return Join(left.ty, right.ty)
-            if kind == "perm":
-                return _random_perm(rng, cfg)
-            return Par(
-                _random_step(rng, p, left, budget),
-                _random_step(rng, p, right, budget),
-            )
+) -> tuple[GlobalStep, Config]:
+    """A random step on `cfg` and its output, built beside it; `budget`
+    holds the site count, which a fork raises and a join lowers."""
+    kind = type(cfg)
+    if kind is Leaf:
+        ty = cfg.ty
+        weights = [p.tick_weight, p.perm_weight]
+        if type(ty) is Prod and budget[0] < p.max_sites:
+            weights.append(p.fork_weight)
+        pick = _weighted(rng, weights)
+        if pick == 0:
+            out = Leaf(_random_type(rng, p))
+            return Tick(ty, out.ty), out
+        if pick == 2:
+            budget[0] += 1
+            return Fork(ty.left, ty.right), Tensor(Leaf(ty.left), Leaf(ty.right))
+        # the noop of a leaf, whose one site is ""
+        return PermStep(Perm(cfg, cfg, (("", ""),))), cfg
+    if kind is Tensor:
+        left, right = cfg.left, cfg.right
+        weights = [p.tick_weight + p.fork_weight + 1.0, p.perm_weight]
+        if type(left) is Leaf and type(right) is Leaf:
+            weights.append(p.join_weight)
+        pick = _weighted(rng, weights)
+        if pick == 2:
+            budget[0] -= 1
+            return Join(left.ty, right.ty), Leaf(Prod(left.ty, right.ty))
+        if pick == 1:
+            return _random_perm(rng, cfg)
+        left_step, left_out = _random_step(rng, p, left, budget)
+        right_step, right_out = _random_step(rng, p, right, budget)
+        return Par(left_step, right_step), Tensor(left_out, right_out)
     raise TypeError(f"not a configuration: {cfg!r}")
 
 
@@ -194,12 +197,10 @@ def gen_diagram(p: GenParams) -> tuple[Diagram, dict[TickRef, Action]]:
         rng, [Leaf(_random_type(rng, p)) for _ in range(start)]
     )
     steps = []
-    cur = initial
+    cur, budget = initial, [start]
     for _ in range(rng.randint(0, p.max_steps)):
-        budget = [n_sites(cur)]
-        step = _random_step(rng, p, cur, budget)
+        step, cur = _random_step(rng, p, cur, budget)
         steps.append(step)
-        cur = step_output(step)
     d = Diagram(initial, tuple(steps))
     lab = {r: rng.choice(p.actions) for r in ticks(d)}
     return d, lab

@@ -12,8 +12,13 @@ were rebuilt from one walk of each step's atoms). One more sum pins the
 compiler alone: the import-execution stdout of 200 seeded executions of
 up to 60 actions over up to 8 processes and of one execution of 400
 one-action processes, taken in one hash before `lamport.to_diagram` was
-rewritten over groups that keep their configuration. A change that
-leaves the output alone must leave every sum as it is. After a deliberate
+rewritten over groups that keep their configuration. Another pins the
+diagram generator alone: the `diagram_to_json` text of `gen_diagram`
+for seeds 0-199 on each weight profile of `conftest.WEIGHT_PROFILES` at
+up to 64 steps and 14 sites, then for seeds 0-199 at the default
+`GenParams`, taken in one hash before the generator was rewritten to
+carry each step's output and site count. A change that leaves the
+output alone must leave every sum as it is. After a deliberate
 change of output, record the sums again with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/sums.json
@@ -46,6 +51,8 @@ from causalweft.diagram import (
 )
 from causalweft.lamport import Execution, execution_to_obj, gen_execution
 from causalweft.serialize import diagram_from_json, diagram_to_json
+from causalweft.verify import GenParams, gen_diagram
+from conftest import WEIGHT_PROFILES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXECUTIONS = ("execution-p1", "execution-p4", "execution-p8")
@@ -79,6 +86,18 @@ def compiled_executions() -> list[Execution]:
     return xs
 
 
+def generated_params() -> list[GenParams]:
+    """The params of the generator sum: seeds 0-199 on each weight
+    profile at up to 64 steps and 14 sites, then seeds 0-199 at the
+    defaults."""
+    wide = [
+        GenParams(seed, max_steps=64, max_sites=14, **profile)
+        for seed in range(200)
+        for profile in WEIGHT_PROFILES
+    ]
+    return wide + [GenParams(seed) for seed in range(200)]
+
+
 def _run(argv: list[str]) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -104,6 +123,11 @@ def record(scratch: Path) -> dict[str, str]:
         compiled.update(f"{code}\n{out}".encode())
     name = "import-execution gen_execution seeds 0-199 and 400 processes"
     sums[name] = compiled.hexdigest()
+
+    generated = hashlib.sha256()
+    for p in generated_params():
+        generated.update(diagram_to_json(*gen_diagram(p)).encode())
+    sums["gen_diagram seeds 0-199 on each weight profile and the defaults"] = generated.hexdigest()
 
     docs = {"diagram": GOLDEN / "diagram.json"}
     for name in EXECUTIONS:

@@ -98,6 +98,22 @@ def test_a_cut_that_is_not_an_int_is_refused():
     assert event_stamps(d, {}, c, v, 1) == event_stamps(d, {}, c, v)
 
 
+def test_an_unhashable_site_is_refused_as_an_unknown_one():
+    d = Diagram(Leaf(Prod(A, A)), (Fork(A, A),))
+    c = vector_clock()
+    v = zero_valuation(c, d.initial)
+    for site, cut in (([""], 0), ({"L": 1}, 1)):
+        message = f"^{re.escape(f'{site!r} is not a site at cut {cut}')}$"
+        for query in (
+            lambda: causally_ordered(d, Event(cut, site), Event(1, "L")),
+            lambda: causally_ordered(d, Event(0, ""), Event(cut, site)),
+            lambda: next(causal_paths(d, Event(cut, site), Event(1, "R"))),
+            lambda: clock_at(d, {}, c, v, Event(cut, site)),
+        ):
+            with pytest.raises(ValueError, match=message):
+                query()
+
+
 def test_an_ill_typed_diagram_gets_no_order():
     # the join reads L and R, but cut 0 holds only the root site
     d = Diagram(Leaf(A), (Join(A, A),))
