@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -53,7 +53,8 @@ _setfield = object.__setattr__
 # ---------------------------------------------------------------------------
 # binary trees (product types, configurations, parallel steps): the
 # leaves' L/R paths, left to right, fix a tree, so the printers and
-# `serialize` write it from those.
+# `serialize` write it from those, and `_tree` builds every tree that is
+# built from them.
 
 def _leaves(root: object, inner: type) -> list[tuple[str, object]]:
     """The leaves below the nodes of class `inner` (exactly), left to
@@ -68,6 +69,23 @@ def _leaves(root: object, inner: type) -> list[tuple[str, object]]:
         else:
             out.append((path, node))
     return out
+
+
+def _tree(leaves: Iterable[tuple[str, T]], pair: Callable[[T, T], T]) -> T | None:
+    """The inverse of `_leaves`: the root whose leaves, left to right,
+    are the (path, node) list, each inner node `pair(left, right)`; None
+    unless the paths are distinct L/R paths, in order, that form a tree.
+    One stack merge: push each leaf, and fuse the top two entries while
+    they are the L and R halves of one node, so each sits at its path."""
+    paths, nodes = [], []
+    for path, node in leaves:
+        while path and path[-1] == "R" and paths and paths[-1] == path[:-1] + "L":
+            paths.pop()
+            node = pair(nodes.pop(), node)
+            path = path[:-1]
+        paths.append(path)
+        nodes.append(node)
+    return nodes[0] if paths == [""] else None
 
 
 def _join(leaves: Iterable[tuple[str, str]], head: str, sep: str, tail: str) -> str:
@@ -450,30 +468,17 @@ def _atom_output(atom: AtomicStep) -> Config:
     raise TypeError(f"not a step: {atom!r}")
 
 
-def _step_end(step: GlobalStep, atom_end) -> Config:
-    """One end of a step: `atom_end` of each atomic action, tensored
-    along the step's tree. Built bottom-up with an explicit stack, so
-    wide parallel steps are not bounded by the recursion limit."""
-    done: list[Config] = []
-    stack: list[GlobalStep | None] = [step]
-    while stack:
-        node = stack.pop()
-        if node is None:  # both halves of a parallel step are done
-            right = done.pop()
-            done[-1] = Tensor(done[-1], right)
-        elif isinstance(node, Par):
-            stack += (None, node.right, node.left)
-        else:
-            done.append(atom_end(node))
-    return done[0]
+def _outputs(atoms: list[tuple[str, AtomicStep]]) -> Config:
+    """A step's output from its atom list, tensored along its tree."""
+    return _tree([(p, _atom_output(a)) for p, a in atoms], Tensor)
 
 
 def step_input(step: GlobalStep) -> Config:
-    return _step_end(step, _atom_input)
+    return _tree([(p, _atom_input(a)) for p, a in step_atoms(step)], Tensor)
 
 
 def step_output(step: GlobalStep) -> Config:
-    return _step_end(step, _atom_output)
+    return _outputs(step_atoms(step))
 
 
 _ATOMS = "_step_atoms"
@@ -538,11 +543,8 @@ def identity(config: Config) -> Diagram:
 
 
 def cut_configs(d: Diagram) -> tuple[Config, ...]:
-    """The configuration at every cut 0..N, in order."""
-    out = [d.initial]
-    for step in d.steps:
-        out.append(step_output(step))
-    return tuple(out)
+    """The configuration at every cut 0..N, in order, from `step_atom_lists`."""
+    return (d.initial, *map(_outputs, step_atom_lists(d)))
 
 
 def cut_config(d: Diagram, t: int) -> Config:
@@ -596,7 +598,7 @@ def _step_faults(step: GlobalStep, have: Config, k: int) -> list[Fault]:
     stack: list[tuple[GlobalStep, str, Config | None]] = [(step, "", have)]
     while stack:
         node, path, have = stack.pop()
-        if isinstance(node, Par):
+        if type(node) is Par:
             want = None
             left = right = None
             if isinstance(have, Tensor):
@@ -605,7 +607,7 @@ def _step_faults(step: GlobalStep, have: Config, k: int) -> list[Fault]:
             stack.append((node.left, path + "L", left))
         else:
             want = _atom_input(node)
-            if isinstance(node, PermStep):
+            if type(node) is PermStep:
                 perm_faults.extend(Fault(k, path, m) for m in node.perm.faults())
         check_boundary(boundary_faults, k, path, have, want)
     return perm_faults + boundary_faults

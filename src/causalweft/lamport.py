@@ -316,11 +316,9 @@ def to_diagram(
                 groups[i] = _Group((proc, msg))
                 fused = _Group([(proc[0], Prod(proc[1], msg[1]))])
                 joins[i] = Join(proc[1], msg[1]), fused
-        # an unchanged group sequence is the identity route
+        # an unchanged group sequence is the identity route; a changed one is not
         if groups != old:
-            route = _route(old, groups, parts)
-            if not route.is_identity():
-                kept.append([("", PermStep(route))])
+            kept.append([("", PermStep(_route(old, groups, parts)))])
 
         # join: fuse each (receiver, message) pair
         at = parts[len(groups)]

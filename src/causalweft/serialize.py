@@ -31,8 +31,8 @@ tick, fork and join over the same types is one object with its
 boundary configurations, and a perm table met again on the same
 configuration object is checked and rebuilt once. A table met for the
 first time is read in one pass: its keys against the site table, its
-values as strings, then one stack merge over the values in order that
-builds the target. That pass is the only perm builder; a table it
+values as strings, then `diagram._tree` builds the target from the
+values in order. That pass is the only perm builder; a table it
 refuses goes through the checks one by one, in their fixed order, only
 to name its fault (`_perm_fault`). Label values of the form
 {"actor": ..., "target": ...} are read back as Actions, whose actor
@@ -53,12 +53,12 @@ Every JSON text (a diagram, an execution, a valuation) is parsed by
 `json` parse recurses once per level of nesting, so a text nested
 deeper than the recursion limit (about 1000 levels; a configuration,
 step or type adds two per node) is rejected with a SchemaError, not a
-RecursionError. The reader reads the left spine of each `tensor` and
-`par` in one loop and recurses only into right halves and `prod`
-types, so a JSON value whose configurations and steps nest to the
-left, as `tensor` and `par` build them, reads at any width
-(`diagram_from_obj`). A perm's target is rebuilt from its flat table
-with an explicit stack, so it may nest deeper still. The writer
+RecursionError. Past the parse, only `_Reader.type` (once per `prod`)
+and `_Reader.step` (once per right half of a `par`) recurse, so a JSON
+value (`diagram_from_obj`) whose steps nest to the left, as `par`
+builds them, reads at any width. Configurations and perm targets are
+built from their leaves by `diagram._tree`; a target, read from a flat
+table, may nest deeper still. The writer
 writes each configuration, step and product type from its leaves'
 L/R paths (`diagram._join`), which nest it two levels per letter, and
 refuses, with the same SchemaError, a document nested more than the
@@ -98,6 +98,7 @@ from .diagram import (
     _keep_atoms,
     _keep_faults,
     _leaves,
+    _tree,
     check_boundary,
     site_types,
     step_atom_lists,
@@ -167,17 +168,23 @@ _HOLD = {"perm": {"table": {"": ""}}}
 class _Reader:
     """One call's parse, freed with it. Equal terms it builds are one
     object, so `check_boundary` settles a well-typed node by `is`.
-    `config` and `step` read each left spine in one loop and recurse
-    only into its right halves, and `type` recurses once per `prod`, so
-    only nesting to the right or in types is bounded by the recursion
-    limit, which `read_json` maps to a SchemaError. `good_perm` builds
-    every perm it reads."""
+    `config` is one walk with an explicit stack, `step` loops down each
+    left spine and recurses into right halves, `type` once per `prod`;
+    `read_json` maps a RecursionError to a SchemaError. `good_perm`
+    builds every perm it reads; it and `config` fuse `_tree`'s nodes
+    through `tensor`."""
 
-    __slots__ = ("terms", "perms")
+    __slots__ = ("terms", "perms", "tensor")
 
     def __init__(self) -> None:
         self.terms: dict[Any, Any] = {}  # types, configurations and atomic steps
         self.perms: dict[tuple[int, tuple], PermStep] = {}
+        get, setdefault = self.terms.get, self.terms.setdefault
+
+        def tensor(left: Config, right: Config) -> Config:  # `term`, lookups bound once
+            key = (Tensor, id(left), id(right))
+            return get(key) or setdefault(key, Tensor(left, right))
+        self.tensor = tensor
 
     def term(self, cls: type, a: Any, b: Any = None) -> Any:
         """The one `cls(a)` or `cls(a, b)` of this call, keyed by the ids
@@ -205,27 +212,24 @@ class _Reader:
         raise SchemaError(f"unknown type node {obj!r}")
 
     def config(self, obj: Any) -> Config:
-        """A configuration. A tensor's left spine is read in one loop:
-        down the spine, checking each node, then the leftmost leaf, then
-        the right halves bottom-up, so errors come in tree order."""
-        rights = None  # the right halves met so far, linked, the last first
-        while True:
+        """A configuration: one pre-order walk with an explicit stack
+        checks each node, so errors come in tree order, and lists the
+        leaves with their paths, from which `_tree` builds it."""
+        leaves, stack = [], [(obj, "")]
+        while stack:
+            obj, path = stack.pop()
             if not isinstance(obj, dict) or len(obj) != 1:
                 raise SchemaError(f"expected a one-key config object, got {obj!r}")
             [(key, body)] = obj.items()
-            if key != "tensor":
-                break
-            if not isinstance(body, list) or len(body) != 2:
-                raise SchemaError(f"tensor takes two parts, got {body!r}")
-            rights = body[1], rights
-            obj = body[0]
-        if key != "leaf":
-            raise SchemaError(f"unknown config node {obj!r}")
-        node = self.term(Leaf, self.type(body))
-        while rights is not None:
-            right, rights = rights
-            node = self.term(Tensor, node, self.config(right))
-        return node
+            if key == "tensor":
+                if not isinstance(body, list) or len(body) != 2:
+                    raise SchemaError(f"tensor takes two parts, got {body!r}")
+                stack += ((body[1], path + "R"), (body[0], path + "L"))
+            elif key == "leaf":
+                leaves.append((path, self.term(Leaf, self.type(body))))
+            else:
+                raise SchemaError(f"unknown config node {obj!r}")
+        return _tree(leaves, self.tensor)
 
     def atom(self, kind: str, a: StateType, b: StateType) -> tuple[AtomicStep, Config, Config]:
         """The one tick, fork or join of this call over the types `a` and
@@ -269,14 +273,11 @@ class _Reader:
     def good_perm(self, table: dict, context: Config | None) -> Perm | None:
         """The perm of a table that passes every check on `context`, in
         one pass; None if any check fails. Its keys must be the context's
-        sites and its values strings; then one stack merge over the
-        values in order builds the target, pushing each value's leaf and
-        fusing the top two entries while they are the L and R halves of
-        one node. Every node it places sits at its own path, so the merge
-        ends on the one root exactly when the values are distinct L/R
-        paths that form a tree; a repeated value, or one with another
-        character, is left on the stack. The nodes are this call's terms,
-        so an identity table rebuilds `context` itself as its target."""
+        sites and its values strings; then `_tree` builds the target from
+        the values in order, each with its key's leaf, and refuses them
+        unless they are distinct L/R paths that form a tree. The nodes
+        are this call's terms, so an identity table rebuilds `context`
+        itself as its target."""
         if context is None:
             return None
         types = site_types(context)
@@ -285,24 +286,13 @@ class _Reader:
         for t in table.values():
             if type(t) is not str:
                 return None
-        paths: list[str] = []
-        nodes: list[Config] = []
-        terms = self.terms  # each node is `term`, inline
+        get, setdefault = self.terms.get, self.terms.setdefault  # `term`, inline
+        leaves = []
         for t, s in sorted(zip(table.values(), table)):
-            ty = types[s]
-            key = (Leaf, id(ty), id(None))
-            node = terms.get(key) or terms.setdefault(key, Leaf(ty))
-            while t and t[-1] == "R" and paths and paths[-1] == t[:-1] + "L":
-                paths.pop()
-                left = nodes.pop()
-                key = (Tensor, id(left), id(node))
-                node = terms.get(key) or terms.setdefault(key, Tensor(left, node))
-                t = t[:-1]
-            paths.append(t)
-            nodes.append(node)
-        if paths != [""]:
-            return None
-        return Perm(context, nodes[0], tuple(sorted(table.items())))
+            key = (Leaf, id(types[s]), id(None))
+            leaves.append((t, get(key) or setdefault(key, Leaf(types[s]))))
+        target = _tree(leaves, self.tensor)
+        return None if target is None else Perm(context, target, tuple(sorted(table.items())))
 
     def step(
         self,

@@ -600,6 +600,12 @@ def test_import_execution_rejects_non_string_endpoints(tmp_path, capsys):
     assert "pair of action ids" in err
 
 
+def test_import_execution_rejects_a_non_object(tmp_path, capsys):
+    path = write(tmp_path, "list.json", "[]")
+    assert main(["import-execution", path]) == 2
+    assert capsys.readouterr() == ("", "error: expected an execution object, got []\n")
+
+
 def test_import_execution_rejects_non_scalar_actors(tmp_path, capsys):
     obj = execution_to_obj(PING)
     obj["actions"]["a1"] = {"actor": ["x"]}

@@ -4,6 +4,7 @@ import weakref
 from dataclasses import fields, is_dataclass
 
 import pytest
+from test_golden import compiled_executions
 
 from causalweft import diagram
 from causalweft.diagram import (
@@ -52,6 +53,7 @@ from causalweft.diagram import (
     validate,
 )
 from causalweft.clocks import Action
+from causalweft.lamport import to_diagram
 from causalweft.paths import cut_numbers, step_relation, step_successors
 from causalweft.render import render
 
@@ -224,6 +226,57 @@ def test_the_printers_match_a_recursive_printer(corpus):
     assert configs > 3000 and types > 3000 and steps > 1000
 
 
+def test_a_tree_is_built_back_from_its_leaf_paths(corpus):
+    # `_tree` inverts `_leaves` on every configuration, step and product
+    # type of the corpus and of the compiled executions
+    diagrams = [d for d, _ in corpus] + [to_diagram(x)[0] for x in compiled_executions()]
+    built = {Tensor: 0, Par: 0, Prod: 0}
+    for d in diagrams:
+        configs = cut_configs(d)
+        trees = [(c, Tensor) for c in configs] + [(s, Par) for s in d.steps]
+        trees += [(ty, Prod) for c in configs for ty in site_types(c).values()]
+        for tree, cls in trees:
+            assert diagram._tree(diagram._leaves(tree, cls), cls) == tree
+            built[cls] += type(tree) is cls
+    assert min(built.values()) > 3000
+
+
+def test_a_tree_needs_distinct_lr_paths_in_order():
+    tree = diagram._tree
+    assert tree([("", A)], Prod) is A
+    assert tree([("L", A), ("RL", B), ("RR", C)], Prod) == Prod(A, Prod(B, C))
+    for leaves in (
+        [],
+        [("L", A), ("L", B), ("R", C)],  # a duplicate
+        [("", A), ("L", B), ("R", C)],  # a prefix
+        [("L", A), ("LL", B), ("LR", C), ("R", A)],
+        [("R", A), ("L", B)],  # out of order
+        [("LR", A), ("LL", B), ("R", C)],
+        [("X", A)],  # not L/R
+        [("XL", A), ("XR", B)],
+        [("L", A), ("RX", B)],
+        [("L", A), ("RL", B)],  # a leaf short
+    ):
+        assert tree(leaves, Prod) is None, leaves
+
+
+def test_the_ends_of_a_wide_step_are_built_without_recursing():
+    # 3,000 parts, nested to the left and to the right
+    def comb(parts, cls):
+        node = parts[-1]
+        for part in reversed(parts[:-1]):
+            node = cls(part, node)
+        return node
+
+    parts, ins, outs = [Tick(A, B)] * 3000, [Leaf(A)] * 3000, [Leaf(B)] * 3000
+    for step, want_in, want_out in (
+        (par(parts), tensor(ins), tensor(outs)),
+        (comb(parts, Par), comb(ins, Tensor), comb(outs, Tensor)),
+    ):
+        assert unbounded(step_input, step) == want_in
+        assert unbounded(step_output, step) == want_out
+
+
 def test_tensor_builder():
     assert tensor([Leaf(A)]) == Leaf(A)
     assert tensor([Leaf(A), Leaf(B), Leaf(C)]) == Tensor(
@@ -347,6 +400,18 @@ def test_step_atoms_walk_left_to_right():
             judge(arg)
     with pytest.raises(ValueError, match=r"names a Tock, not a tick$"):
         tick_at(d, TickRef(0, ""))
+
+    class Pair(Par):
+        pass
+
+    pair = Pair(Tick(A, A), Tick(A, A))
+    d = Diagram(Tensor(Leaf(A), Leaf(A)), (pair,))
+    for judge, arg in (
+        (validate, d), (cut_numbers, d), (step_input, pair), (step_output, pair),
+        (step_atoms, pair), (ticks, d),
+    ):
+        with pytest.raises(TypeError, match=r"^not a step: \S*Pair\("):
+            judge(arg)
 
 
 def test_a_parallel_step_is_walked_once(monkeypatch):

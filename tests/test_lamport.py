@@ -548,6 +548,8 @@ def test_execution_round_trip():
 def test_execution_json_errors():
     with pytest.raises(SchemaError, match="not JSON"):
         execution_from_json("{")
+    with pytest.raises(SchemaError, match=r"^expected an execution object, got \[\]$"):
+        execution_from_json("[]")
     with pytest.raises(SchemaError, match="lacks 'messages'"):
         execution_from_obj({"processes": {}, "actions": {}})
     with pytest.raises(SchemaError, match="list of action ids"):

@@ -600,6 +600,22 @@ def test_the_loader_agrees_with_the_recursive_walks():
     assert refused > 300 and len(mutated) - refused > 50
 
 
+def test_a_configuration_nested_to_the_right_reads_without_recursing():
+    # the configuration read is one walk with an explicit stack: a right
+    # comb 400 deep loads from its text and reads back byte for byte,
+    # and one 3000 deep loads as a JSON value
+    cfg = right_nested([Leaf(A)] * 400 + [Leaf(B)], Tensor)
+    text = diagram_to_json(Diagram(cfg, (noop(cfg),)))
+    d, _ = diagram_from_json(text)
+    assert d.initial == cfg and d.steps[0].perm.target is d.initial
+    assert validate(d) == [] and diagram_to_json(d) == text
+    initial = {"leaf": {"atom": "B"}}
+    for _ in range(2999):
+        initial = {"tensor": [{"leaf": {"atom": "A"}}, initial]}
+    d, _ = diagram_from_obj({"initial": initial, "steps": []})
+    assert d.initial == right_nested([Leaf(A)] * 2999 + [Leaf(B)], Tensor)
+
+
 def test_a_3000_part_spine_reads_without_recursing(tmp_path, capsys):
     # a 3000-part left-nested tensor and one left-nested par over it, a
     # tick then idle holds, built as JSON values: the reader walks each

@@ -6,6 +6,7 @@ import pytest
 from causalweft.clocks import (
     CLOCK_NAMES,
     Action,
+    Clock,
     by_name,
     scalar_clock,
     timestamp_all,
@@ -19,6 +20,7 @@ from causalweft.diagram import (
     Join,
     Leaf,
     Par,
+    Perm,
     PermStep,
     Prod,
     Tensor,
@@ -105,6 +107,20 @@ def test_generated_diagrams_are_valid_and_fully_labeled(small_corpus):
     for d, lab in small_corpus:
         assert validate(d) == []
         assert labeling_faults(d, lab) == []
+
+
+def test_a_leaf_with_no_kind_to_draw_is_held():
+    # one site and no room to fork: with ticks and perms weighed at zero,
+    # every step is the idle hold of the leaf
+    held = 0
+    for seed in range(20):
+        p = GenParams(seed=seed, max_sites=1, tick_weight=0.0, perm_weight=0.0)
+        d, lab = gen_diagram(p)
+        assert validate(d) == [] and lab == {}
+        for step in d.steps:
+            assert step == PermStep(Perm(d.initial, d.initial, (("", ""),)))
+        held += d.n_steps
+    assert held > 20
 
 
 def test_generator_respects_the_site_budget(small_corpus):
@@ -255,6 +271,29 @@ def test_lawful_clocks_pass_sampled_laws():
         report = check_clock_laws(by_name(name), seed=1, samples=2000)
         assert report.ok, report.failures
         assert report.samples == 2000
+
+
+def int_clock(**changes) -> Clock:
+    """A lawful counter over small ints, with some operations replaced."""
+    ops = dict(
+        leq=lambda a, b: a <= b,
+        increment=lambda a, t: t + 1,
+        merge=max,
+        sample=lambda rng: rng.randint(0, 4),
+    )
+    ops.update(changes)
+    return Clock("int", "classifier", lambda: 0, **ops)
+
+
+def test_each_broken_law_is_named():
+    assert check_clock_laws(int_clock(), seed=1, samples=2000).ok
+    for law, clock in (
+        ("leq-reflexive", int_clock(leq=lambda a, b: a < b)),
+        ("merge-absorbs-left", int_clock(merge=lambda a, b: b)),
+        ("leq-transitive", int_clock(leq=lambda a, b: abs(a - b) <= 1)),
+    ):
+        report = check_clock_laws(clock, seed=1, samples=2000)
+        assert law in {f.law for f in report.failures}, law
 
 
 def test_broken_clock_fails_with_counterexamples():
