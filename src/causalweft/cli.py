@@ -42,7 +42,7 @@ from .clocks import (
     stamp_to_obj,
     zero_valuation,
 )
-from .diagram import Diagram, ticks, validate
+from .diagram import Diagram, _site_ok, ticks, validate
 from .lamport import execution_from_json, to_diagram
 from .paths import Event, causal_paths, cut_numbers
 from .render import render
@@ -116,7 +116,7 @@ def _parse_event(text: str, d: Diagram) -> Event:
         raise SchemaError(f"bad cut in event {text!r}")
     if site == ".":
         site = ""
-    if not all(c in "LR" for c in site):
+    if not _site_ok(site):
         raise SchemaError(f"bad site in event {text!r}, expected L/R path or .")
     return Event(cut, site)
 

@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from .diagram import Diagram, SiteRef, TickRef, _setfield, site_types, sites
-from .paths import Event, check_cut, check_event, cut_numbers, events, step_successors
+from .diagram import Diagram, SiteRef, TickRef, _setfield, check_cut, site_types, sites
+from .paths import Event, check_event, cut_numbers, events, step_successors
 from .paths import sweep, tick_outputs
 
 Pid = str | int

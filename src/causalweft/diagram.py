@@ -19,6 +19,8 @@ A diagram is a boundary-compatible sequence of such steps. The empty
 sequence is the identity. Cuts (the boundaries between steps, numbered
 0..N) are the moments of an execution; slicing a diagram at cuts gives
 prefixes and windows that are diagrams in their own right.
+`check_cut` is the one judge of a cut given as input, and `_site_ok`
+of a site or tree path read from a document or the command line.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class Atom:
 
 @dataclass(frozen=True)
 class Prod:
-    """Two state values held together at a single site."""
+    """Two state values held together at a single site; equal by their leaves' paths."""
 
     left: "StateType"
     right: "StateType"
@@ -130,6 +132,14 @@ class Prod:
     def __init__(self, left: "StateType", right: "StateType") -> None:
         _setfield(self, "left", left)
         _setfield(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Prod):
+            return NotImplemented
+        return self is other or _leaves(self, Prod) == _leaves(other, Prod)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_leaves(self, Prod)))
 
     __repr__ = _tree_repr
 
@@ -190,6 +200,11 @@ class Tensor:
 Config = Leaf | Tensor
 
 SiteRef = str
+
+
+def _site_ok(s: object) -> bool:
+    """Is `s` a site path: a string over L and R?"""
+    return isinstance(s, str) and not s.strip("LR")
 
 
 _SITE_TYPES = "_site_types"
@@ -547,10 +562,17 @@ def cut_configs(d: Diagram) -> tuple[Config, ...]:
     return (d.initial, *map(_outputs, step_atom_lists(d)))
 
 
+def check_cut(d: Diagram, cut: int) -> None:
+    """Raise ValueError unless `cut` is an int, not a bool, in 0..n_steps."""
+    if type(cut) is not int:
+        raise ValueError(f"cut {cut!r} is not an int")
+    if not 0 <= cut <= d.n_steps:
+        raise ValueError(f"cut {cut} out of range 0..{d.n_steps}")
+
+
 def cut_config(d: Diagram, t: int) -> Config:
     """The configuration at cut t (0 = before the first step)."""
-    if not 0 <= t <= d.n_steps:
-        raise ValueError(f"cut {t} out of range 0..{d.n_steps}")
+    check_cut(d, t)
     return d.initial if t == 0 else step_output(d.steps[t - 1])
 
 
@@ -791,8 +813,8 @@ def during(d: Diagram, t1: int, t2: int) -> Diagram:
     `during(d, t, t)` is the identity on the cut-t configuration, and
     `seq_concat(before(d, t), during(d, t, n))` rebuilds the diagram.
     """
-    if not 0 <= t1 <= d.n_steps or not 0 <= t2 <= d.n_steps:
-        raise ValueError(f"cuts {t1}..{t2} out of range 0..{d.n_steps}")
+    check_cut(d, t1)
+    check_cut(d, t2)
     if t1 > t2:
         raise ValueError(f"uninhabited interval: {t1} > {t2}")
     return Diagram(cut_config(d, t1), d.steps[t1:t2])

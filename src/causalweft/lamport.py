@@ -107,6 +107,8 @@ class Execution:
 
 def validate_execution(x: Execution) -> list[str]:
     """Why the execution is malformed; empty when it is well-formed."""
+    if len({isinstance(p, str) for p in x.processes}) > 1:  # no order to sort them by
+        return ["process ids mix int and str"]
     out = []
     owner: dict[ActionId, Pid] = {}
     for p, acts in sorted(x.processes.items()):

@@ -16,6 +16,8 @@ over each step's atoms of a diagram `validate` accepts numbers the
 events; the first order query then runs the causal-history clock
 (Schwarz & Mattern 1994) through `sweep`, the loop that stamps clocks.
 Both live on the diagram; rendering and timestamping skip the clock.
+Every query and `witness_valid` resolve an event by `check_event`, which
+judges its cut by `diagram.check_cut` and its site by that cut's table.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .diagram import (
     SiteRef,
     Tick,
     TickRef,
+    check_cut,
     site_types,
     step_atom_lists,
     step_atoms,
@@ -54,14 +57,6 @@ class Event:
 
     def __str__(self) -> str:
         return f"{self.cut}:{self.site if self.site else '.'}"
-
-
-def check_cut(d: Diagram, cut: int) -> None:
-    """Raise ValueError unless `cut` is an int, not a bool, in 0..n_steps."""
-    if type(cut) is not int:
-        raise ValueError(f"cut {cut!r} is not an int")
-    if not 0 <= cut <= d.n_steps:
-        raise ValueError(f"cut {cut} out of range 0..{d.n_steps}")
 
 
 def check_event(d: Diagram, e: Event) -> int:
@@ -314,15 +309,14 @@ class PathWitness:
 
 def witness_valid(d: Diagram, w: PathWitness) -> bool:
     """Check a witness against a diagram: every hop must be allowed by
-    the step between its cuts."""
-    if not 0 <= w.start or w.end > d.n_steps:
-        return False
-    tables = _tables(d)
+    the step between its cuts. An ill-typed diagram raises its first fault."""
+    successors = step_successors(d)
     try:
-        hops = [tables.numbers[w.start + i][s] for i, s in enumerate(w.trajectory)]
-    except KeyError:
+        check_cut(d, w.start)
+        hops = [check_event(d, e) for e in w.events()]
+    except ValueError:
         return False
-    return all(j in tables.successors[i] for i, j in zip(hops, hops[1:]))
+    return all(j in successors[i] for i, j in zip(hops, hops[1:]))
 
 
 def compose_witness(a: PathWitness, b: PathWitness) -> PathWitness:
@@ -357,17 +351,15 @@ def span_count(d: Diagram, s1: SiteRef, s2: SiteRef) -> int:
     return sweep(tables.successors, tables.ticks, start, lambda _, c: c, add, lambda c: (c, c))[j]
 
 
-def _enumerate(
-    d: Diagram, t1: int, s1: SiteRef, t2: int, s2: SiteRef
-) -> Iterator[PathWitness]:
-    """All trajectories from (t1, s1) to (t2, s2), lexicographic by
+def _enumerate(d: Diagram, i: int, target: int) -> Iterator[PathWitness]:
+    """All trajectories from event i to event `target`, lexicographic by
     trajectory. Lazy; prunes branches that the wire table says cannot
-    reach (t2, s2)."""
+    reach `target`."""
     tables = _tables(d)
     successors, reaches, evs = tables.successors, tables.wires.reaches, tables.events
-    i, target = tables.numbers[t1][s1], tables.numbers[t2][s2]
     if not reaches(i, target):
         return
+    t1, t2 = evs[i].cut, evs[target].cut
 
     # Depth-first with an explicit stack, so a long span is not bounded
     # by the recursion limit. prefix[k] is the event at cut t1 + k and
@@ -375,7 +367,7 @@ def _enumerate(
     prefix = [i]
     stack = [iter(successors[i])] if t1 < t2 else []
     if not stack:
-        yield PathWitness(t1, (s1,))
+        yield PathWitness(t1, (evs[i].site,))
     while stack:
         b = next((b for b in stack[-1] if reaches(b, target)), None)
         if b is None:
@@ -407,11 +399,7 @@ def causally_ordered(d: Diagram, e1: Event, e2: Event) -> bool:
 def causal_paths(d: Diagram, e1: Event, e2: Event) -> Iterator[PathWitness]:
     """All witnesses that e1 can influence e2, lazily, in lexicographic
     order. Empty when the events are unordered or in reverse order."""
-    check_event(d, e1)
-    check_event(d, e2)
-    if e1.cut > e2.cut:
-        return iter(())
-    return _enumerate(d, e1.cut, e1.site, e2.cut, e2.site)
+    return _enumerate(d, check_event(d, e1), check_event(d, e2))
 
 
 def event_order_pairs(d: Diagram) -> set[tuple[Event, Event]]:

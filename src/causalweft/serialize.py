@@ -37,9 +37,10 @@ refuses goes through the checks one by one, in their fixed order, only
 to name its fault (`_perm_fault`). Label values of the form
 {"actor": ..., "target": ...} are read back as Actions, whose actor
 and target must be strings or integers; anything else passes through
-as plain JSON. `label_value_from_obj`, the one action read for labels
-and executions, reads the common shape (string actor and target) in
-one pass, as a label entry reads its int step and L/R path.
+as plain JSON. `label_value_from_obj` (the one action read for labels
+and executions) and `_label_entry` are one ordered read per label
+shape: checks in a fixed order, cheap tests first, the first failing
+one naming the fault. `diagram._site_ok` judges every path read.
 
 Printing is canonical (sorted keys, no whitespace, labels sorted by
 step then path), so parse-then-print is byte-stable and documents can
@@ -98,6 +99,7 @@ from .diagram import (
     _keep_atoms,
     _keep_faults,
     _leaves,
+    _site_ok,
     _tree,
     check_boundary,
     site_types,
@@ -124,10 +126,6 @@ def read_json(text: str, read: Callable[[Any], Any] = lambda obj: obj, what: str
 
 # ---------------------------------------------------------------------------
 # reading types, configurations and steps
-
-def _site_ok(s: Any) -> bool:
-    return isinstance(s, str) and not s.strip("LR")
-
 
 def _perm_fault(table: dict, context: Config | None) -> NoReturn:
     """Raise the SchemaError naming the first check, in a fixed order,
@@ -388,31 +386,18 @@ def _pid_ok(p: Any) -> bool:
 
 def label_value_from_obj(obj: Any) -> Any:
     """A label value read back: an object with an actor is an Action,
-    anything else is plain JSON. The common shape, a string actor, an
-    optional string or null target and no other key, is read in one
-    pass; any other object with an actor goes through the checks in
-    order, so the first that fails names the fault."""
-    if type(obj) is dict:
-        actor, target = obj.get("actor"), obj.get("target")
-        if (
-            type(actor) is str
-            and (target is None or type(target) is str)
-            and len(obj) == 1 + ("target" in obj)
-        ):
-            return Action(actor, target)
-    if isinstance(obj, dict) and "actor" in obj:
-        extra = set(obj) - {"actor", "target"}
-        if extra:
-            raise SchemaError(f"unknown action fields {sorted(extra)}")
-        actor, target = obj["actor"], obj.get("target")
-        if not _pid_ok(actor):
-            raise SchemaError(f"action actor must be a string or an integer, got {actor!r}")
-        if target is not None and not _pid_ok(target):
-            raise SchemaError(
-                f"action target must be a string, an integer or null, got {target!r}"
-            )
-        return Action(actor, target)
-    return obj
+    anything else is plain JSON. An object with an actor goes through
+    the checks in order, so the first that fails names the fault."""
+    if not isinstance(obj, dict) or "actor" not in obj:
+        return obj
+    if len(obj) != 1 + ("target" in obj):
+        raise SchemaError(f"unknown action fields {sorted(set(obj) - {'actor', 'target'})}")
+    actor, target = obj["actor"], obj.get("target")
+    if type(actor) is not str and not _pid_ok(actor):
+        raise SchemaError(f"action actor must be a string or an integer, got {actor!r}")
+    if target is not None and type(target) is not str and not _pid_ok(target):
+        raise SchemaError(f"action target must be a string, an integer or null, got {target!r}")
+    return Action(actor, target)
 
 
 # ---------------------------------------------------------------------------
@@ -459,20 +444,15 @@ def diagram_from_obj(obj: Any) -> tuple[Diagram, dict[TickRef, Any]]:
 
 
 def _label_entry(entry: Any) -> tuple[TickRef, Any]:
-    """One label entry read back. The common shape, an int step and an
-    L/R path beside the value, is read in one pass; any other entry goes
-    through the checks in order, so the first that fails names the
-    fault."""
-    if type(entry) is dict and len(entry) == 3 and "value" in entry:
-        k, path = entry.get("step"), entry.get("path")
-        if type(k) is int and type(path) is str and not path.strip("LR"):
-            return TickRef(k, path), label_value_from_obj(entry["value"])
-    if not isinstance(entry, dict) or entry.keys() != {"step", "path", "value"}:
+    """One label entry read back: the checks in order name its first fault."""
+    if not isinstance(entry, dict) or len(entry) != 3 or not (
+        "step" in entry and "path" in entry and "value" in entry
+    ):
         raise SchemaError(f"bad label entry {entry!r}")
-    k = entry["step"]  # JSON true is an int to Python, not a step
-    if not isinstance(k, int) or isinstance(k, bool) or not _site_ok(entry["path"]):
+    k, path = entry["step"], entry["path"]  # JSON true is an int to Python, not a step
+    if type(k) is not int and (not isinstance(k, int) or isinstance(k, bool)) or not _site_ok(path):
         raise SchemaError(f"bad label position {entry!r}")
-    return TickRef(k, entry["path"]), label_value_from_obj(entry["value"])
+    return TickRef(k, path), label_value_from_obj(entry["value"])
 
 
 # A constant, not a cache: built once at import from no input, and

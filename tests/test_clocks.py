@@ -8,6 +8,7 @@ from causalweft.clocks import (
     ClassifierStamp,
     MatrixStamp,
     by_name,
+    classifier_clock,
     clock_at,
     event_stamps,
     rst_clock,
@@ -167,6 +168,12 @@ def test_matrix_stamp_rejects_negative_cells():
         MatrixStamp(0, {(0, 0): -1})
 
 
+def test_matrix_stamp_get_reads_absent_cells_as_zero():
+    t = MatrixStamp("p1", {("p1", "p1"): 2, ("p1", "p2"): 0})
+    assert t.get("p1", "p1") == 2
+    assert t.get("p1", "p2") == t.get("p2", "p1") == 0
+
+
 # ---------------------------------------------------------------------------
 # lookup and serialization
 
@@ -184,6 +191,13 @@ def test_classifier_stamp_serialization():
     obj = stamp_to_obj(c, t)
     assert obj == {"p1->p2": 3, "p2->p2": 1}
     assert stamp_from_obj(c, obj) == t
+
+
+def test_a_class_neither_text_nor_pair_is_keyed_by_its_text():
+    c = classifier_clock(lambda a: 7)
+    t = c.increment(Action("p1"), c.zero())
+    assert t == ClassifierStamp({7: 1})
+    assert stamp_to_obj(c, t) == {"7": 1}
 
 
 def test_matrix_stamp_serialization():

@@ -174,6 +174,22 @@ def test_deep_product_types_print():
     assert unbounded(repr, right) == f"Prod(left={a}, right=" * 3000 + b + ")" * 3000
 
 
+def test_deep_product_types_compare_and_hash_without_recursion():
+    # equality and hashing read the leaves' paths, so a 3,000-deep
+    # product compares, hashes and typechecks under the recursion limit
+    p, q = A, A
+    for _ in range(3000):
+        p, q = Prod(p, A), Prod(q, A)
+    assert p is not q and p == q and hash(p) == hash(q)
+    r = A
+    for k in range(3000):
+        r = Prod(r, B if k == 1500 else A)
+    assert p != r
+    assert Prod(Prod(A, B), C) != Prod(A, Prod(B, C))
+    assert Prod(Prod(A, B), C) == Prod(Prod(A, B), C)
+    assert validate(Diagram(Leaf(p), (Tick(q, q),))) == []
+
+
 def test_wide_steps_print_and_name_themselves_in_errors():
     # a 3,000-part par prints, and so do the errors that name a
     # 3,000-site tensor: in a perm that a tick ref walks into, and in
@@ -532,6 +548,23 @@ def test_cut_config_range():
         cut_config(d, 1)
     with pytest.raises(ValueError):
         cut_config(d, -1)
+
+
+def test_a_cut_is_judged_by_check_cut(message_flow):
+    # `cut_config`, `during` and `before` refuse a bool or a float cut
+    # in the words of `check_cut`, and name the one cut out of range
+    d, _ = message_flow
+    for bad in (True, 1.0):
+        for slice_at in (
+            lambda t: cut_config(d, t),
+            lambda t: during(d, t, 2),
+            lambda t: during(d, 0, t),
+            lambda t: before(d, t),
+        ):
+            with pytest.raises(ValueError, match=rf"^cut {bad!r} is not an int$"):
+                slice_at(bad)
+    with pytest.raises(ValueError, match=rf"^cut 99 out of range 0\.\.{d.n_steps}$"):
+        during(d, 0, 99)
 
 
 def test_message_flow_middle_cuts(message_flow):

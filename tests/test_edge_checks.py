@@ -18,7 +18,7 @@ from causalweft.clocks import (
     vector_clock,
     zero_valuation,
 )
-from causalweft.diagram import Atom, Diagram, Leaf, Tensor, noop, sites
+from causalweft.diagram import Atom, Diagram, Leaf, Tensor, Tick, noop, sites
 from causalweft.lamport import derived_order, gen_execution, hb_closure, to_diagram
 from causalweft.paths import (
     Event,
@@ -372,3 +372,26 @@ def test_planted_faults_give_the_pair_loop_report(corpus):
             if others and plant("moved", wire=[(i, others[len(others) // 2])]):
                 break
     assert min(planted.values()) > 100, planted
+
+
+def test_a_planted_backward_row_bit_is_an_antisymmetry_fault():
+    # `Wires.rows` masks each row below its own event, so only a planted
+    # row reaches the antisymmetry loop: here the tick's output holds its
+    # input back, while its wire, cleared from its own history, fails the
+    # certificate
+    d = Diagram(Leaf(A), (Tick(A, A),))
+    fresh = with_wires(d, history=[(1, 0b01)])
+    table = wire_table(fresh)
+
+    class Backward(Wires):
+        def rows(self):
+            rows = Wires.rows(self)
+            rows[1] |= 1 << 0
+            return rows
+
+    fresh.__dict__["_paths_tables"].__dict__["wires"] = Backward(table.wire, table.history)
+    assert not _wires_hold(wire_table(fresh), step_successors(fresh))
+    report = check_order_laws(fresh)
+    before, after = events(fresh)
+    assert report.antisymmetry == ((before, after),)
+    assert report == reference_order_laws(fresh)

@@ -157,6 +157,17 @@ def test_invalid_execution_is_rejected_before_closure():
         hb_closure(x)
 
 
+def test_mixed_process_id_types_are_one_fault():
+    # int and str pids do not sort together: the check names the mix
+    # before it sorts anything
+    x = Execution({"p1": ("a",), 2: ("b",)}, frozenset(), {"a": Action("p1"), "b": Action(2)})
+    assert validate_execution(x) == ["process ids mix int and str"]
+    for compile_or_close in (to_diagram, hb_closure):
+        with pytest.raises(ValueError, match=r"^invalid execution: process ids mix int and str$"):
+            compile_or_close(x)
+    assert validate_execution(Execution({1: ("a",), 2: ("b",)}, frozenset(), x.actions)) == []
+
+
 # ---------------------------------------------------------------------------
 # compilation
 

@@ -344,6 +344,23 @@ def test_witness_valid_checks_every_hop(diamond):
     assert not witness_valid(d, PathWitness(3, ("", "")))  # runs off the end
 
 
+def test_witness_valid_judges_its_events_as_check_event_does(diamond):
+    # an unhashable site is not a site and a bool start is not a cut, so
+    # both witnesses are refused rather than raising TypeError or
+    # starting at cut 1
+    d, _ = diamond
+    assert not witness_valid(d, PathWitness(0, ([""], "L")))
+    assert not witness_valid(d, PathWitness(0, ("", ["L"])))
+    assert witness_valid(d, PathWitness(1, ("R", "R")))
+    assert not witness_valid(d, PathWitness(True, ("R", "R")))
+    assert not witness_valid(d, PathWitness(-1, ("", "")))
+    # an ill-typed diagram raises its first fault, as every query does
+    bad = Diagram(Leaf(A), (Fork(A, A),))
+    fault = "step 0 at .: step expects [(A x A)], found [A]"
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        witness_valid(bad, PathWitness(0, ("", "L")))
+
+
 def test_compose_with_unit_is_unchanged():
     w = PathWitness(0, ("", "L"))
     unit_left = PathWitness(0, ("",))

@@ -4,6 +4,7 @@ import re
 import sys
 import weakref
 from dataclasses import fields, is_dataclass
+from enum import IntEnum
 
 import pytest
 from conftest import corpus_params
@@ -891,6 +892,30 @@ def test_action_labels_take_string_and_integer_pids():
     doc = diagram_to_obj(d, None)
     doc["labels"] = [{"step": 0, "path": "", "value": {"actor": 3, "target": "p1"}}]
     assert diagram_from_obj(doc)[1] == {TickRef(0, ""): Action(3, "p1")}
+
+
+def test_a_dict_subclass_entry_and_an_int_subclass_step_read_back():
+    # a label entry is any dict, and its step any int but a bool
+    class Entry(dict):
+        pass
+
+    class Step(IntEnum):
+        FIRST = 0
+
+    d = Diagram(Leaf(A), (Tick(A, A),))
+    doc = diagram_to_obj(d, None)
+    doc["labels"] = [Entry(step=0, path="", value={"actor": "p1"})]
+    assert diagram_from_obj(doc)[1] == {TickRef(0, ""): Action("p1")}
+    doc["labels"] = [{"step": Step.FIRST, "path": "L", "value": {"actor": "p1"}}]
+    [(ref, value)] = diagram_from_obj(doc)[1].items()
+    assert type(ref.step) is Step and ref == TickRef(0, "L") and value == Action("p1")
+
+
+def test_the_writer_refuses_what_is_not_a_term():
+    with pytest.raises(TypeError, match=r"^not a type: 'A'$"):
+        diagram_to_json(Diagram(Leaf("A"), ()))
+    with pytest.raises(TypeError, match=r"^not a configuration or step: 'x'$"):
+        diagram_to_json(Diagram(Tensor(Leaf(A), "x"), ()))
 
 
 # ---------------------------------------------------------------------------
